@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .intersection import CohClass, SurfaceRing, evaluate_on_X, intersect, ring_mul
+from .intersection import CohClass, SurfaceRing, intersect
 
 
 @dataclass(frozen=True)

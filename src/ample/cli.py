@@ -7,20 +7,28 @@ Exit status: 0 when the command's check passed, 1 when it ran but failed,
 2 for config errors, 3 for domain errors inside a command.  The AMPLE_SEED
 environment variable, when set, overrides the seed of seed-consuming
 commands so CI can shuffle runs without editing configs.
+
+Every command is one entry of the COMMANDS table: its help line, the config
+keys it accepts, defaults for some of them, its flags (each names the config
+key it writes), its runner and its summary line.  The argument parser, flag
+merging, config parsing, the AMPLE_SEED override, dispatch and the summary
+are all loops over that table, so adding a command means writing its runner
+and adding one entry.  Runners call the library by its module-level names
+here, looked up at call time.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .bundles import BundleExpr, Dual, Line, Sum, Twist, chern_of
-from .config import COMMANDS, RunConfig, config_from_mapping
+from .bundles import BundleExpr, Line, Sum, Twist, chern_of
+from .config import RunConfig, config_from_mapping
 from .criteria import (
     Assertions,
     build_counterexample,
@@ -84,42 +92,35 @@ def _assertion_flags(a: Assertions) -> dict:
     }
 
 
-def _assertion_marks(a: Assertions) -> dict:
-    return {
-        name: ("asserted" if flag else "unknown")
-        for name, flag in _assertion_flags(a).items()
-    }
-
-
 def _sweep_doc(cfg: RunConfig) -> dict:
     # threads and batch_size are execution-plan knobs that never change the
     # results, so they are left out of the echo to keep reports byte-identical
     # across schedules
-    s = cfg.sweep
-    return {
-        "sweep": {
-            "ranks": list(s.ranks),
-            "epsilons": list(s.epsilons),
-            "samples": s.samples,
-            "seed": s.seed,
-            "restarts": s.restarts,
-            "random_vectors": s.random_vectors,
-            "iterations": s.iterations,
-            "tol": s.tol,
-            "threshold": s.threshold,
-            "mode": s.mode,
-            "histogram_bins": s.histogram_bins,
-        }
-    }
+    doc = asdict(cfg.sweep)
+    del doc["threads"], doc["batch_size"]
+    return doc
 
 
-def _criterion_results(cfg: RunConfig, rank2: bool) -> tuple[dict, str, list[str]]:
+# how each config key is echoed into a report's inputs; csv_path names an
+# output file, not an input, and is left out
+_ECHO = {
+    "ring": lambda cfg: _ring_doc(cfg.ring),
+    "bundle": lambda cfg: _bundle_doc(cfg.bundle, cfg.ring),
+    "assertions": lambda cfg: _assertion_flags(cfg.assertions),
+    "divisor": lambda cfg: _divisor_doc(cfg.divisor, cfg.ring),
+    "curves": lambda cfg: [_divisor_doc(c, cfg.ring) for c in cfg.curves],
+    "sweep": _sweep_doc,
+    **{key: attrgetter(key) for key in ("r", "a", "omega_sq", "samples", "seed")},
+}
+
+
+# Runners: cfg -> (results, verdict, warnings).  A runner raises AmpleError
+# for a domain error inside the command; run() turns it into an error report.
+
+
+def _criterion(cfg: RunConfig, criterion) -> tuple[dict, str, list[str]]:
     cd = chern_of(cfg.bundle, cfg.ring)
-    rep = (
-        check_rank2_criterion(cd, cfg.assertions)
-        if rank2
-        else check_criterion(cd, cfg.assertions)
-    )
+    rep = criterion(cd, cfg.assertions)
     results = {
         "rank": rep.rank,
         "c1": _divisor_doc(cd.c1, cfg.ring),
@@ -129,13 +130,71 @@ def _criterion_results(cfg: RunConfig, rank2: bool) -> tuple[dict, str, list[str
         "lubke_coefficient": rep.lubke_coefficient,
         "lubke_gap": rep.lubke_gap,
         "st_gap": rep.st_gap,
-        "assertions": _assertion_marks(rep.assertions),
+        "assertions": {
+            name: ("asserted" if flag else "unknown")
+            for name, flag in _assertion_flags(rep.assertions).items()
+        },
     }
     warnings = []
     missing = rep.assertions.missing()
     if missing:
         warnings.append("unverified hypotheses: " + ", ".join(missing))
     return results, rep.verdict, warnings
+
+
+def _nakai(cfg: RunConfig) -> tuple[dict, str, list[str]]:
+    rep = nakai_check(cfg.divisor, list(cfg.curves), cfg.ring)
+    results = {
+        "self_intersection": rep.self_intersection,
+        "curve_degrees": list(rep.curve_degrees),
+        "note": rep.note,
+    }
+    return results, ("pass" if rep.passed else "fail"), list(rep.warnings)
+
+
+def _counterexample(cfg: RunConfig) -> tuple[dict, str, list[str]]:
+    ce = build_counterexample(cfg.r, cfg.a)
+    results = {
+        "ring": _ring_doc(ce.ring),
+        "rank": ce.chern.rank,
+        "c1_sq": ce.chern.c1_sq_value,
+        "c2": ce.chern.c2_value,
+        "slopes": list(ce.slopes),
+        "identities": [
+            {
+                "name": chk.name,
+                "expected": chk.expected,
+                "actual": chk.actual,
+                "holds": chk.holds,
+            }
+            for chk in ce.identities
+        ],
+    }
+    return results, ("pass" if ce.all_hold() else "fail"), []
+
+
+def _epsilon(cfg: RunConfig) -> tuple[dict, str, list[str]]:
+    cd = chern_of(cfg.bundle, cfg.ring)
+    value = epsilon_choice(cd, cfg.omega_sq)
+    results = {
+        "rank": cd.rank,
+        "c1_sq": cd.c1_sq_value,
+        "c2": cd.c2_value,
+        "epsilon": value,
+    }
+    warnings = []
+    if value <= 0:
+        warnings.append(
+            "criterion combination is nonpositive; the value is not a usable error budget"
+        )
+    return results, "pass", warnings
+
+
+def _sweep(cfg: RunConfig, sweep, value_key: str, **extra) -> tuple[dict, str, list[str]]:
+    res = sweep(cfg.sweep)
+    if cfg.csv_path:
+        export_histograms(res, cfg.csv_path)
+    return {**_sweep_results(res, value_key), **extra}, ("pass" if res.passed else "fail"), []
 
 
 def _sweep_results(res: SweepResult, value_key: str) -> dict:
@@ -163,117 +222,135 @@ def _sweep_results(res: SweepResult, value_key: str) -> dict:
     return {value_key: res.min_value, "residual_max": res.residual_max, "configs": configs}
 
 
+def _lagrange(cfg: RunConfig) -> tuple[dict, str, list[str]]:
+    res = run_lagrange_check(cfg.samples, cfg.seed)
+    results = {
+        "samples": res.samples,
+        "seed": res.seed,
+        "max_abs_diff": res.max_abs_diff,
+        "worst": {
+            "rank": res.worst.rank,
+            "mu": res.worst.mu,
+            "b_diag": list(res.worst.b_diag),
+            "closed_form": res.worst.closed_form,
+            "numeric": res.worst.numeric,
+        },
+    }
+    return results, ("pass" if res.passed else "fail"), []
+
+
+class Flag(NamedTuple):
+    """A command-line flag and the config key it writes.
+
+    A dotted key such as "sweep.samples" names a key inside the sweep
+    object; options go to argparse's add_argument.
+    """
+
+    name: str
+    key: str
+    options: dict
+
+
+@dataclass(frozen=True)
+class Command:
+    """One entry of the command table."""
+
+    help: str
+    keys: tuple[str, ...]  # config keys accepted besides command and output_path
+    run: Callable[[RunConfig], tuple[dict, str, list[str]]]
+    summary: str  # str.format template over the report's command, verdict, results
+    flags: tuple[Flag, ...] = ()
+    defaults: dict = field(default_factory=dict)  # values of absent optional keys
+
+
+# every command takes --config and --out
+_OUT = Flag("--out", "output_path", dict(metavar="PATH", help="also write the report to this file"))
+
+_SWEEP_FLAGS = (
+    Flag("--samples", "sweep.samples", dict(type=int, metavar="N", help="samples per configuration")),
+    Flag("--seed", "sweep.seed", dict(type=int, metavar="S", help="base seed")),
+    Flag("--restarts", "sweep.restarts", dict(type=int, metavar="K", help="adversarial search restarts")),
+    Flag("--threads", "sweep.threads", dict(type=int, metavar="T", help="worker threads")),
+    Flag("--batch-size", "sweep.batch_size", dict(type=int, metavar="B", help="samples per batch")),
+    Flag("--mode", "sweep.mode", dict(choices=("random", "projectively-flat"), help="sampler mode")),
+    Flag("--csv", "csv_path", dict(metavar="PATH", help="export per-config histograms as CSV")),
+)
+
+# Where a runner takes a library function it is wrapped in a lambda, so the
+# function is looked up in this module when the command runs and a
+# replacement installed here (a tracer, a test double) is the one called.
+COMMANDS = {
+    "check": Command(
+        "evaluate the higher-rank numerical criterion on exact Chern data",
+        ("ring", "bundle", "assertions"),
+        lambda cfg: _criterion(cfg, check_criterion),
+        "{command}: {verdict} (lubke_gap = {results[lubke_gap]})",
+    ),
+    "st-check": Command(
+        "evaluate the rank-2 Schneider-Tancredi criterion",
+        ("ring", "bundle", "assertions"),
+        lambda cfg: _criterion(cfg, check_rank2_criterion),
+        "{command}: {verdict} (lubke_gap = {results[lubke_gap]})",
+    ),
+    "nakai": Command(
+        "finite-list positivity check for a divisor class",
+        ("ring", "divisor", "curves"),
+        _nakai,
+        "nakai: {verdict} (self-intersection = {results[self_intersection]})",
+    ),
+    "counterexample": Command(
+        "build the rank-r boundary family and verify its identities",
+        ("r", "a"),
+        _counterexample,
+        "counterexample: {verdict} (c1_sq = {results[c1_sq]}, c2 = {results[c2]})",
+        flags=(
+            Flag("-r", "r", dict(type=int, metavar="RANK", help="rank, at least 3")),
+            Flag("-a", "a", dict(metavar="RAT", help="positive rational parameter, e.g. 2 or 7/3")),
+        ),
+    ),
+    "verify-lemma": Command(
+        "Monte Carlo verification of the pointwise curvature inequality",
+        ("sweep", "csv_path"),
+        lambda cfg: _sweep(cfg, run_gap_sweep, "min_gap", threshold=cfg.sweep.threshold),
+        "verify-lemma: {verdict} (min gap = {results[min_gap]:.6g})",
+        flags=_SWEEP_FLAGS,
+    ),
+    "griffiths": Command(
+        "Monte Carlo minimum of the curvature form's smallest eigenvalue",
+        ("sweep", "csv_path"),
+        lambda cfg: _sweep(cfg, run_griffiths_sweep, "min_eigenvalue"),
+        "griffiths: {verdict} (min eigenvalue = {results[min_eigenvalue]:.6g})",
+        flags=_SWEEP_FLAGS,
+    ),
+    "lagrange": Command(
+        "cross-check the closed-form constrained maximum against iteration",
+        ("samples", "seed"),
+        _lagrange,
+        "lagrange: {verdict} (max |closed - numeric| = {results[max_abs_diff]:.3e})",
+        flags=(
+            Flag("--samples", "samples", dict(type=int, metavar="N", help="number of random instances")),
+            Flag("--seed", "seed", dict(type=int, metavar="S", help="stream seed")),
+        ),
+        defaults={"samples": 1000, "seed": 0},
+    ),
+    "epsilon": Command(
+        "exact error-budget parameter from Chern data and the omega^2 integral",
+        ("ring", "bundle", "omega_sq"),
+        _epsilon,
+        "epsilon: {results[epsilon]}",
+    ),
+}
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one parsed config; returns (exit status, report document)."""
-    inputs: dict = {}
-    warnings: list[str] = []
+    spec = COMMANDS[cfg.command]
+    inputs = {key: _ECHO[key](cfg) for key in spec.keys if key in _ECHO}
     try:
-        if cfg.command in ("check", "st-check"):
-            inputs = {
-                "ring": _ring_doc(cfg.ring),
-                "bundle": _bundle_doc(cfg.bundle, cfg.ring),
-                "assertions": _assertion_flags(cfg.assertions),
-            }
-            results, verdict, warnings = _criterion_results(cfg, cfg.command == "st-check")
-        elif cfg.command == "nakai":
-            inputs = {
-                "ring": _ring_doc(cfg.ring),
-                "divisor": _divisor_doc(cfg.divisor, cfg.ring),
-                "curves": [_divisor_doc(c, cfg.ring) for c in cfg.curves],
-            }
-            rep = nakai_check(cfg.divisor, list(cfg.curves), cfg.ring)
-            results = {
-                "self_intersection": rep.self_intersection,
-                "curve_degrees": list(rep.curve_degrees),
-                "note": rep.note,
-            }
-            verdict = "pass" if rep.passed else "fail"
-            warnings = list(rep.warnings)
-        elif cfg.command == "counterexample":
-            inputs = {"r": cfg.r, "a": cfg.a}
-            ce = build_counterexample(cfg.r, cfg.a)
-            results = {
-                "ring": _ring_doc(ce.ring),
-                "rank": ce.chern.rank,
-                "c1_sq": ce.chern.c1_sq_value,
-                "c2": ce.chern.c2_value,
-                "slopes": list(ce.slopes),
-                "identities": [
-                    {
-                        "name": chk.name,
-                        "expected": chk.expected,
-                        "actual": chk.actual,
-                        "holds": chk.holds,
-                    }
-                    for chk in ce.identities
-                ],
-            }
-            verdict = "pass" if ce.all_hold() else "fail"
-        elif cfg.command == "epsilon":
-            cd = chern_of(cfg.bundle, cfg.ring)
-            inputs = {
-                "ring": _ring_doc(cfg.ring),
-                "bundle": _bundle_doc(cfg.bundle, cfg.ring),
-                "omega_sq": cfg.omega_sq,
-            }
-            value = epsilon_choice(cd, cfg.omega_sq)
-            results = {
-                "rank": cd.rank,
-                "c1_sq": cd.c1_sq_value,
-                "c2": cd.c2_value,
-                "epsilon": value,
-            }
-            verdict = "pass"
-            if value <= 0:
-                warnings.append(
-                    "criterion combination is nonpositive; the value is not a usable error budget"
-                )
-        elif cfg.command == "verify-lemma":
-            inputs = _sweep_doc(cfg)
-            res = run_gap_sweep(cfg.sweep)
-            results = _sweep_results(res, "min_gap")
-            results["threshold"] = cfg.sweep.threshold
-            verdict = "pass" if res.passed else "fail"
-            if cfg.csv_path:
-                export_histograms(res, cfg.csv_path)
-        elif cfg.command == "griffiths":
-            inputs = _sweep_doc(cfg)
-            res = run_griffiths_sweep(cfg.sweep)
-            results = _sweep_results(res, "min_eigenvalue")
-            verdict = "pass" if res.passed else "fail"
-            if cfg.csv_path:
-                export_histograms(res, cfg.csv_path)
-        elif cfg.command == "lagrange":
-            samples = cfg.samples if cfg.samples is not None else 1000
-            seed = cfg.seed if cfg.seed is not None else 0
-            inputs = {"samples": samples, "seed": seed}
-            res = run_lagrange_check(samples, seed)
-            results = {
-                "samples": res.samples,
-                "seed": res.seed,
-                "max_abs_diff": res.max_abs_diff,
-                "worst": {
-                    "rank": res.worst.rank,
-                    "mu": res.worst.mu,
-                    "b_diag": list(res.worst.b_diag),
-                    "closed_form": res.worst.closed_form,
-                    "numeric": res.worst.numeric,
-                },
-            }
-            verdict = "pass" if res.passed else "fail"
-        else:
-            raise ConfigError(f"unknown command {cfg.command!r}")
+        results, verdict, warnings = spec.run(cfg)
     except AmpleError as exc:
-        report = {
-            "command": cfg.command,
-            "inputs": inputs,
-            "results": {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            "verdict": "error",
-            "warnings": warnings,
-            "version": __version__,
-        }
-        return EXIT_ERROR, report
-
+        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        verdict, warnings = "error", []
     report = {
         "command": cfg.command,
         "inputs": inputs,
@@ -282,31 +359,16 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         "warnings": warnings,
         "version": __version__,
     }
+    if verdict == "error":
+        return EXIT_ERROR, report
     return (EXIT_PASS if verdict in _PASS_VERDICTS else EXIT_FAIL), report
 
 
 def _summary(report: dict) -> str:
-    command = report["command"]
-    results = report["results"]
-    verdict = report["verdict"]
-    if verdict == "error":
-        err = results["error"]
-        return f"{command}: error ({err['type']}: {err['message']})"
-    if command in ("check", "st-check"):
-        return f"{command}: {verdict} (lubke_gap = {results['lubke_gap']})"
-    if command == "nakai":
-        return f"nakai: {verdict} (self-intersection = {results['self_intersection']})"
-    if command == "counterexample":
-        return f"counterexample: {verdict} (c1_sq = {results['c1_sq']}, c2 = {results['c2']})"
-    if command == "epsilon":
-        return f"epsilon: {results['epsilon']}"
-    if command == "verify-lemma":
-        return f"verify-lemma: {verdict} (min gap = {results['min_gap']:.6g})"
-    if command == "griffiths":
-        return f"griffiths: {verdict} (min eigenvalue = {results['min_eigenvalue']:.6g})"
-    if command == "lagrange":
-        return f"lagrange: {verdict} (max |closed - numeric| = {results['max_abs_diff']:.3e})"
-    return f"{command}: {verdict}"
+    if report["verdict"] == "error":
+        err = report["results"]["error"]
+        return f"{report['command']}: error ({err['type']}: {err['message']})"
+    return COMMANDS[report["command"]].summary.format(**report)
 
 
 def _load_document(path: str | None) -> dict:
@@ -328,7 +390,19 @@ def _load_document(path: str | None) -> dict:
     return data
 
 
+def _set_key(doc: dict, key: str, value) -> None:
+    head, _, rest = key.partition(".")
+    if rest:
+        inner = doc.setdefault(head, {})
+        if not isinstance(inner, dict):
+            raise ConfigError(f"{head}: expected an object")
+        inner[rest] = value
+    else:
+        doc[key] = value
+
+
 def _apply_seed_env(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
+    """AMPLE_SEED overrides the key that the command's --seed flag writes."""
     raw = os.environ.get("AMPLE_SEED")
     if raw is None:
         return cfg, []
@@ -338,96 +412,44 @@ def _apply_seed_env(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
         raise ConfigError(f"AMPLE_SEED must be an integer, got {raw!r}") from None
     if seed < 0:
         raise ConfigError(f"AMPLE_SEED must be >= 0, got {seed}")
-    if cfg.sweep is not None:
-        return (
-            replace(cfg, sweep=replace(cfg.sweep, seed=seed)),
-            [f"seed overridden by AMPLE_SEED={seed}"],
-        )
-    if cfg.command == "lagrange":
-        return replace(cfg, seed=seed), [f"seed overridden by AMPLE_SEED={seed}"]
+    for flag in COMMANDS[cfg.command].flags:
+        if flag.name == "--seed":
+            head, _, rest = flag.key.partition(".")
+            value = replace(getattr(cfg, head), **{rest: seed}) if rest else seed
+            return replace(cfg, **{head: value}), [f"seed overridden by AMPLE_SEED={seed}"]
     return cfg, []
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    # imported here: config parsing imports this module for COMMANDS and
+    # should not pay for argparse, which only main() needs
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ample",
         description="Ampleness criteria for bundles on surfaces: exact checks and Monte Carlo curvature verification.",
     )
     parser.add_argument("--version", action="version", version=f"ample {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--out", metavar="PATH", help="also write the report to this file")
-        return p
-
-    add("check", "evaluate the higher-rank numerical criterion on exact Chern data")
-    add("st-check", "evaluate the rank-2 Schneider-Tancredi criterion")
-    add("nakai", "finite-list positivity check for a divisor class")
-
-    p = add("counterexample", "build the rank-r boundary family and verify its identities")
-    p.add_argument("-r", type=int, metavar="RANK", help="rank, at least 3")
-    p.add_argument("-a", metavar="RAT", help="positive rational parameter, e.g. 2 or 7/3")
-
-    for name, help_text in (
-        ("verify-lemma", "Monte Carlo verification of the pointwise curvature inequality"),
-        ("griffiths", "Monte Carlo minimum of the curvature form's smallest eigenvalue"),
-    ):
-        p = add(name, help_text)
-        p.add_argument("--samples", type=int, metavar="N", help="samples per configuration")
-        p.add_argument("--seed", type=int, metavar="S", help="base seed")
-        p.add_argument("--restarts", type=int, metavar="K", help="adversarial search restarts")
-        p.add_argument("--threads", type=int, metavar="T", help="worker threads")
-        p.add_argument("--batch-size", type=int, metavar="B", help="samples per batch")
-        p.add_argument("--mode", choices=("random", "projectively-flat"), help="sampler mode")
-        p.add_argument("--csv", metavar="PATH", help="export per-config histograms as CSV")
-
-    p = add("lagrange", "cross-check the closed-form constrained maximum against iteration")
-    p.add_argument("--samples", type=int, metavar="N", help="number of random instances")
-    p.add_argument("--seed", type=int, metavar="S", help="stream seed")
-
-    add("epsilon", "exact error-budget parameter from Chern data and the omega^2 integral")
+        for flag in (_OUT, *spec.flags):
+            p.add_argument(flag.name, dest=flag.key, **flag.options)
     return parser
 
 
-def _merge_flags(doc: dict, args: argparse.Namespace) -> dict:
+def _merge_flags(doc: dict, args) -> dict:
     command = args.command
     if "command" in doc and doc["command"] != command:
         raise ConfigError(
             f"config file says command {doc['command']!r} but the CLI invoked {command!r}"
         )
     doc["command"] = command
-    if args.out is not None:
-        doc["output_path"] = args.out
-    if command == "counterexample":
-        if args.r is not None:
-            doc["r"] = args.r
-        if args.a is not None:
-            doc["a"] = args.a
-    elif command in ("verify-lemma", "griffiths"):
-        overrides = {
-            "samples": args.samples,
-            "seed": args.seed,
-            "restarts": args.restarts,
-            "threads": args.threads,
-            "batch_size": args.batch_size,
-            "mode": args.mode,
-        }
-        if any(v is not None for v in overrides.values()):
-            sweep = doc.setdefault("sweep", {})
-            if not isinstance(sweep, dict):
-                raise ConfigError("sweep: expected an object")
-            for key, value in overrides.items():
-                if value is not None:
-                    sweep[key] = value
-        if args.csv is not None:
-            doc["csv_path"] = args.csv
-    elif command == "lagrange":
-        if args.samples is not None:
-            doc["samples"] = args.samples
-        if args.seed is not None:
-            doc["seed"] = args.seed
+    for flag in (_OUT, *COMMANDS[command].flags):
+        value = getattr(args, flag.key)
+        if value is not None:
+            _set_key(doc, flag.key, value)
     return doc
 
 

@@ -6,6 +6,13 @@ are objects mapping basis names to rationals; bundles are nested objects
 tagged by "kind".  Every key is checked: anything unknown for the active
 command is an error naming the offending JSON path, so a typo cannot
 silently fall back to a default.
+
+Which top-level keys a command accepts, and its defaults, come from its
+entry in the command table, cli.COMMANDS.  This module owns how each key is
+parsed: _KEYS lists every key once, with its parser and whether it is
+required, in the order keys are read.  A new command that only reuses
+existing keys needs nothing here; a new key needs a RunConfig field and a
+_KEYS row.
 """
 
 from __future__ import annotations
@@ -20,45 +27,6 @@ from .criteria import Assertions
 from .errors import ConfigError, InvalidInputError
 from .intersection import CohClass, SurfaceRing, as_rational
 from .sweep import SweepConfig
-
-COMMANDS = (
-    "check",
-    "st-check",
-    "nakai",
-    "counterexample",
-    "verify-lemma",
-    "lagrange",
-    "griffiths",
-    "epsilon",
-)
-
-# which top-level keys each command consumes, beyond "command" and "output_path"
-_ALLOWED_KEYS = {
-    "check": ("ring", "bundle", "assertions"),
-    "st-check": ("ring", "bundle", "assertions"),
-    "nakai": ("ring", "divisor", "curves"),
-    "counterexample": ("r", "a"),
-    "verify-lemma": ("sweep", "csv_path"),
-    "lagrange": ("samples", "seed"),
-    "griffiths": ("sweep", "csv_path"),
-    "epsilon": ("ring", "bundle", "omega_sq"),
-}
-
-_SWEEP_KEYS = (
-    "ranks",
-    "epsilons",
-    "samples",
-    "seed",
-    "restarts",
-    "random_vectors",
-    "iterations",
-    "tol",
-    "threshold",
-    "batch_size",
-    "threads",
-    "mode",
-    "histogram_bins",
-)
 
 
 @dataclass(frozen=True)
@@ -109,6 +77,12 @@ def _real(value, path: str) -> float:
     if not math.isfinite(value):
         _fail(path, f"must be finite, got {value!r}")
     return float(value)
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"expected a string, got {value!r}")
+    return value
 
 
 def _rational(value, path: str) -> Fraction:
@@ -216,10 +190,7 @@ def _parse_sweep(value, path: str) -> SweepConfig:
         if name in obj:
             kwargs[name] = _real(obj.pop(name), f"{path}.{name}")
     if "mode" in obj:
-        mode = obj.pop("mode")
-        if not isinstance(mode, str):
-            _fail(f"{path}.mode", f"expected a string, got {mode!r}")
-        kwargs["mode"] = mode
+        kwargs["mode"] = _string(obj.pop("mode"), f"{path}.mode")
     _reject_unknown(obj, path)
     try:
         return SweepConfig(**kwargs)
@@ -227,66 +198,57 @@ def _parse_sweep(value, path: str) -> SweepConfig:
         _fail(path, str(exc))
 
 
+def _parse_curves(value, path: str, ring: SurfaceRing) -> tuple[CohClass, ...]:
+    raw = _array(value, path)
+    return tuple(_parse_divisor(x, f"{path}[{i}]", ring) for i, x in enumerate(raw))
+
+
+def _ringless(parse, *args):
+    """Adapt a parser that does not read the ring to the _KEYS signature."""
+    return lambda value, path, ring: parse(value, path, *args)
+
+
+# every top-level key as (key, parser(value, path, ring), required), in the
+# order keys are read; ring comes first because bundle, divisor and curves
+# are read in its basis
+_KEYS = (
+    ("ring", _ringless(_parse_ring), True),
+    ("bundle", _parse_bundle, True),
+    ("assertions", _ringless(_parse_assertions), False),
+    ("divisor", _parse_divisor, True),
+    ("curves", _parse_curves, False),
+    ("sweep", _ringless(_parse_sweep), True),
+    ("r", _ringless(_int, 3), True),
+    ("a", _ringless(_rational), True),
+    ("omega_sq", _ringless(_rational), True),
+    ("samples", _ringless(_int, 1), False),
+    ("seed", _ringless(_int, 0), False),
+    ("csv_path", _ringless(_string), False),
+)
+
+
 def config_from_mapping(document: dict) -> RunConfig:
     """Validate an already-deserialized config object into a RunConfig."""
+    from .cli import COMMANDS  # cli imports this module, so import at call time
+
     obj = _object(document, "")
     command = obj.pop("command", None)
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         _fail("command", f"expected one of {', '.join(COMMANDS)}; got {command!r}")
-    allowed = _ALLOWED_KEYS[command]
+    spec = COMMANDS[command]
 
     out_path = obj.pop("output_path", None)
-    if out_path is not None and not isinstance(out_path, str):
-        _fail("output_path", f"expected a string, got {out_path!r}")
+    if out_path is not None:
+        _string(out_path, "output_path")
 
-    fields: dict = {"command": command, "output_path": out_path}
-
-    ring = None
-    if "ring" in allowed:
-        if "ring" not in obj:
-            _fail("ring", f"required for command {command}")
-        ring = _parse_ring(obj.pop("ring"), "ring")
-        fields["ring"] = ring
-    if "bundle" in allowed:
-        if "bundle" not in obj:
-            _fail("bundle", f"required for command {command}")
-        fields["bundle"] = _parse_bundle(obj.pop("bundle"), "bundle", ring)
-    if "assertions" in allowed:
-        fields["assertions"] = _parse_assertions(obj.pop("assertions", None), "assertions")
-    if "divisor" in allowed:
-        if "divisor" not in obj:
-            _fail("divisor", f"required for command {command}")
-        fields["divisor"] = _parse_divisor(obj.pop("divisor"), "divisor", ring)
-    if "curves" in allowed and "curves" in obj:
-        raw = _array(obj.pop("curves"), "curves")
-        fields["curves"] = tuple(
-            _parse_divisor(x, f"curves[{i}]", ring) for i, x in enumerate(raw)
-        )
-    if "sweep" in allowed:
-        if "sweep" not in obj:
-            _fail("sweep", f"required for command {command}")
-        fields["sweep"] = _parse_sweep(obj.pop("sweep"), "sweep")
-    if "r" in allowed:
-        if "r" not in obj:
-            _fail("r", f"required for command {command}")
-        fields["r"] = _int(obj.pop("r"), "r", 3)
-    if "a" in allowed:
-        if "a" not in obj:
-            _fail("a", f"required for command {command}")
-        fields["a"] = _rational(obj.pop("a"), "a")
-    if "omega_sq" in allowed:
-        if "omega_sq" not in obj:
-            _fail("omega_sq", f"required for command {command}")
-        fields["omega_sq"] = _rational(obj.pop("omega_sq"), "omega_sq")
-    if "samples" in allowed and "samples" in obj:
-        fields["samples"] = _int(obj.pop("samples"), "samples", 1)
-    if "seed" in allowed and "seed" in obj:
-        fields["seed"] = _int(obj.pop("seed"), "seed", 0)
-    if "csv_path" in allowed and "csv_path" in obj:
-        raw = obj.pop("csv_path")
-        if not isinstance(raw, str):
-            _fail("csv_path", f"expected a string, got {raw!r}")
-        fields["csv_path"] = raw
+    fields = {"command": command, "output_path": out_path, **spec.defaults}
+    for key, parse, required in _KEYS:
+        if key not in spec.keys:
+            continue
+        if key in obj:
+            fields[key] = parse(obj.pop(key), key, fields.get("ring"))
+        elif required:
+            _fail(key, f"required for command {command}")
 
     _reject_unknown(obj, "")
     return RunConfig(**fields)

@@ -115,13 +115,21 @@ def residuals(pc: PointCurvature) -> dict[str, float]:
     return _batch_residuals(pc.coeff[None], pc.B[None], pc.epsilon)
 
 
-def validate(pc: PointCurvature, tol: float = VALIDATION_TOL) -> None:
-    """Raise InconsistentStateError if any structural residual exceeds tol."""
-    res = residuals(pc)
-    bad = {k: v for k, v in res.items() if k != "b_bound" and v > tol}
+def check_residuals(res: dict[str, float], tol: float = VALIDATION_TOL, where: str = "") -> None:
+    """Raise InconsistentStateError if any structural residual exceeds tol.
+
+    A NaN residual counts as a violation; b_bound is informational and
+    skipped.  where prefixes the message, e.g. with the sweep configuration.
+    """
+    bad = {k: v for k, v in res.items() if k != "b_bound" and not (v <= tol)}
     if bad:
         worst = ", ".join(f"{k}={v:.3e}" for k, v in sorted(bad.items()))
-        raise InconsistentStateError(f"curvature constraints violated: {worst}")
+        raise InconsistentStateError(f"{where}curvature constraints violated: {worst}")
+
+
+def validate(pc: PointCurvature, tol: float = VALIDATION_TOL) -> None:
+    """Raise InconsistentStateError if any structural residual exceeds tol."""
+    check_residuals(residuals(pc), tol)
 
 
 def _generator(seed: Seed, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -261,16 +269,8 @@ def chern_densities(pc: PointCurvature) -> tuple[float, float]:
     matrix wedge square.
     """
     validate(pc)
-    tr = np.einsum("iiab->ab", pc.coeff)
-    c1sq = float(wedge_density(tr, tr).real)
-    cross = (
-        np.einsum("ij,ji->", pc.coeff[..., 0, 0], pc.coeff[..., 1, 1])
-        + np.einsum("ij,ji->", pc.coeff[..., 1, 1], pc.coeff[..., 0, 0])
-        - np.einsum("ij,ji->", pc.coeff[..., 0, 1], pc.coeff[..., 1, 0])
-        - np.einsum("ij,ji->", pc.coeff[..., 1, 0], pc.coeff[..., 0, 1])
-    )
-    c2 = 0.5 * (c1sq - float(cross.real))
-    return c1sq, c2
+    c1sq, c2 = _batch_chern(pc.coeff[None])
+    return float(c1sq[0]), float(c2[0])
 
 
 def c2_density_pairwise(pc: PointCurvature) -> float:
@@ -293,13 +293,8 @@ def c2_density_pairwise(pc: PointCurvature) -> float:
     return 0.5 * total
 
 
-def batch_lhs_density(coeff: np.ndarray) -> np.ndarray:
-    """Per-sample density of c1^2 - (2r(r-1)/(r^2-2r+2)) c2 for a batch.
-
-    coeff has shape (n, r, r, 2, 2); no validation is performed here, batch
-    drivers check residuals separately.
-    """
-    r = coeff.shape[1]
+def _batch_chern(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # per-sample c1^2 and c2 densities for coeff of shape (n, r, r, 2, 2)
     tr = np.einsum("niiab->nab", coeff)
     c1sq = wedge_density(tr, tr).real
     cross = (
@@ -308,8 +303,17 @@ def batch_lhs_density(coeff: np.ndarray) -> np.ndarray:
         - np.einsum("nij,nji->n", coeff[..., 0, 1], coeff[..., 1, 0])
         - np.einsum("nij,nji->n", coeff[..., 1, 0], coeff[..., 0, 1])
     ).real
-    c2 = 0.5 * (c1sq - cross)
-    return c1sq - lubke_constant(r) * c2
+    return c1sq, 0.5 * (c1sq - cross)
+
+
+def batch_lhs_density(coeff: np.ndarray) -> np.ndarray:
+    """Per-sample density of c1^2 - (2r(r-1)/(r^2-2r+2)) c2 for a batch.
+
+    coeff has shape (n, r, r, 2, 2); no validation is performed here, batch
+    drivers check residuals separately.
+    """
+    c1sq, c2 = _batch_chern(coeff)
+    return c1sq - lubke_constant(coeff.shape[1]) * c2
 
 
 def lubke_constant(r: int) -> float:
@@ -321,6 +325,16 @@ def error_term_density(r: int, epsilon: float) -> float:
     """Density of the additive error (4r + r(r^2-1)eps) * eps / (4(r^2-2r+2)) * omega^2."""
     k = r * r - 2 * r + 2
     return (4.0 * r + r * (r * r - 1) * epsilon) * epsilon / (4.0 * k) * 2.0
+
+
+def gap_scale_offset(r: int, epsilon: float, lhs):
+    """(scale, offset) with gap(v) = scale * det<v, Theta v>/<v, v> + offset.
+
+    The squared normalized form has density 2 det, and lhs is the density
+    returned by batch_lhs_density (an array, or one value).
+    """
+    k = r * r - 2 * r + 2
+    return 2.0 * r * r / k, error_term_density(r, epsilon) - lhs
 
 
 @dataclass(frozen=True)
@@ -351,8 +365,9 @@ def normalized_form(pc: PointCurvature, v: np.ndarray) -> np.ndarray:
 
 
 def lhs_density(pc: PointCurvature) -> float:
-    c1sq, c2 = chern_densities(pc)
-    return c1sq - lubke_constant(pc.rank) * c2
+    """The left-hand side c1^2 - (2r(r-1)/(r^2-2r+2)) c2 at one point."""
+    validate(pc)
+    return float(batch_lhs_density(pc.coeff[None])[0])
 
 
 def pointwise_gap(pc: PointCurvature, v: np.ndarray) -> PointwiseGapResult:

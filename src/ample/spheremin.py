@@ -21,8 +21,8 @@ import numpy as np
 
 from .curvature import (
     PointCurvature,
-    error_term_density,
-    lhs_density,
+    batch_lhs_density,
+    gap_scale_offset,
     validate,
 )
 from .curvature import _generator  # shared seed-derivation rule
@@ -178,8 +178,19 @@ class MinGapResult:
 DEFAULT_START_SEED = 1815
 
 
-def _instance_seed(pc: PointCurvature):
-    return pc.seed if pc.seed is not None else DEFAULT_START_SEED
+def _search(pc: PointCurvature, objective, restarts: int, tol: float, iterations: int):
+    """Validated multi-start search on one instance; (V, f, converged) with n = 1.
+
+    Starts are deterministic given pc.seed; instances built without a seed
+    share a fixed default.
+    """
+    if tol <= 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    validate(pc)
+    M = form_matrices(pc.coeff)[None]
+    seed = pc.seed if pc.seed is not None else DEFAULT_START_SEED
+    V0 = basis_and_random_starts(M, objective, restarts, [seed])
+    return minimize_on_sphere(M, V0, objective, iterations, tol)
 
 
 def min_gap_over_v(
@@ -192,21 +203,13 @@ def min_gap_over_v(
 
     The gap is an affine function of det of the normalized form, so the
     search minimizes the det and the result is mapped back.  Deterministic
-    given pc.seed (instances built without a seed share a fixed default)
-    and the restart count; more restarts can only lower the result.
+    given pc.seed and the restart count; more restarts can only lower the
+    result.
     """
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    validate(pc)
-    r = pc.rank
-    M = form_matrices(pc.coeff)[None]
-    V0 = basis_and_random_starts(M, det_objective, restarts, [_instance_seed(pc)])
-    V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations, tol)
+    V, f, converged = _search(pc, det_objective, restarts, tol, iterations)
     best = int(np.argmin(f[0]))
-    k = r * r - 2 * r + 2
-    scale = 2.0 * r * r / k
-    offset = error_term_density(r, pc.epsilon) - lhs_density(pc)
-    gap = scale * float(f[0, best]) + offset
+    scale, offset = gap_scale_offset(pc.rank, pc.epsilon, batch_lhs_density(pc.coeff[None])[0])
+    gap = float(scale * float(f[0, best]) + offset)
     v = tuple(complex(x) for x in V[0, best])
     return MinGapResult(v, gap, bool(converged[0, best]))
 
@@ -223,10 +226,5 @@ def griffiths_min(
     the point, up to the confidence of the multi-start search; the
     projectively flat point returns exactly 1/r.
     """
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    validate(pc)
-    M = form_matrices(pc.coeff)[None]
-    V0 = basis_and_random_starts(M, lmin_objective, restarts, [_instance_seed(pc)])
-    _, f, _ = minimize_on_sphere(M, V0, lmin_objective, iterations, tol)
+    _, f, _ = _search(pc, lmin_objective, restarts, tol, iterations)
     return float(f[0].min())

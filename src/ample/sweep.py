@@ -31,18 +31,18 @@ from .curvature import (
     _generator,
     batch_lhs_density,
     build_batch,
-    error_term_density,
+    check_residuals,
+    gap_scale_offset,
     lagrange_max,
     lagrange_max_numeric,
     projectively_flat,
     sample_curvature,
 )
-from .errors import InvalidInputError
+from .errors import InconsistentStateError, InvalidInputError
 from .spheremin import (
     basis_and_random_starts,
     det_objective,
     form_matrices,
-    griffiths_min,
     lmin_objective,
     min_gap_over_v,
     minimize_on_sphere,
@@ -89,8 +89,6 @@ class SweepConfig:
             raise InvalidInputError("restarts must be >= 1")
         if self.random_vectors < 0:
             raise InvalidInputError("random_vectors must be >= 0")
-        if self.random_vectors == 0 and self.restarts < 1:
-            raise InvalidInputError("need at least one of random vectors or restarts")
         if self.iterations < 1 or self.batch_size < 1 or self.threads < 1:
             raise InvalidInputError("iterations, batch_size and threads must be >= 1")
         if self.tol <= 0:
@@ -150,13 +148,6 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
     )
 
 
-def _gap_offsets(coeff: np.ndarray, r: int, epsilon: float) -> tuple[float, np.ndarray]:
-    k = r * r - 2 * r + 2
-    scale = 2.0 * r * r / k
-    offsets = error_term_density(r, epsilon) - batch_lhs_density(coeff)
-    return scale, offsets
-
-
 def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int):
     """Evaluate samples lo..hi-1 of one configuration; pure in (cfg, args)."""
     n = hi - lo
@@ -176,7 +167,7 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
 
     objective = det_objective if kind == "gap" else lmin_objective
     if kind == "gap":
-        scale, offsets = _gap_offsets(coeff, r, epsilon)
+        scale, offsets = gap_scale_offset(r, epsilon, batch_lhs_density(coeff))
     else:
         scale, offsets = 1.0, np.zeros(n)
 
@@ -254,6 +245,11 @@ def _run_config(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, po
         key: max(b["residual_max"][key] for b in batches) for key in batches[0]["residual_max"]
     }
     converged = sum(b["converged"] for b in batches)
+    where = f"rank {r}, epsilon {epsilon!r}: "
+    check_residuals(residual_max, where=where)
+    mean = float(values.mean())
+    if not (np.isfinite(values).all() and math.isfinite(mean)):
+        raise InconsistentStateError(f"{where}non-finite sweep values")
 
     arg = int(np.argmin(values))
     batch = batches[arg // cfg.batch_size]
@@ -268,7 +264,7 @@ def _run_config(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, po
         epsilon=epsilon,
         samples=samples,
         min_value=min(float(values.min()), value),
-        mean_value=float(values.mean()),
+        mean_value=mean,
         worst=worst,
         residual_max=residual_max,
         converged_fraction=converged / samples,

@@ -265,3 +265,108 @@ def test_rationals_render_as_strings_everywhere(capsys):
     assert report["inputs"]["a"] == "1/2"
     assert all(isinstance(s, str) for s in report["results"]["slopes"])
     assert '"slopes":["3/2","3/2","3/2","3/2"]' in out
+
+
+# Full stdout, stderr summary and exit code of each exact command on one fixed
+# config.  These reports are exact rational arithmetic, so the bytes are the
+# same on every machine; any change to dispatch, rendering or summaries shows.
+GOLDEN = {
+    "check": (
+        {
+            "ring": P2,
+            "bundle": split_bundle({"h": "2"}, {"h": "1"}, {"h": "1"}),
+            "assertions": ALL_ASSERTED,
+        },
+        0,
+        '{"command":"check","inputs":{"assertions":{"ample_on_curves":true,'
+        '"c1_positive":true,"semistable":true},"bundle":{"kind":"sum","summands":'
+        '[{"divisor":{"h":"2"},"kind":"line"},{"divisor":{"h":"1"},"kind":"line"},'
+        '{"divisor":{"h":"1"},"kind":"line"}]},"ring":{"basis":["h"],"pairing":[["1"]]}},'
+        '"results":{"assertions":{"ample_on_curves":"asserted","c1_positive":"asserted",'
+        '"semistable":"asserted"},"c1":{"h":"4"},"c1_sq":"16","c1sq_minus_c2":"11",'
+        '"c2":"5","lubke_coefficient":"12/5","lubke_gap":"4","rank":3,"st_gap":null},'
+        '"verdict":"hypotheses-satisfied","version":"0.1.0","warnings":[]}\n',
+        "check: hypotheses-satisfied (lubke_gap = 4)\n",
+    ),
+    "st-check": (
+        {
+            "ring": P2,
+            "bundle": split_bundle({"h": "2"}, {"h": "1"}),
+            "assertions": {"semistable": True},
+        },
+        1,
+        '{"command":"st-check","inputs":{"assertions":{"ample_on_curves":false,'
+        '"c1_positive":false,"semistable":true},"bundle":{"kind":"sum","summands":'
+        '[{"divisor":{"h":"2"},"kind":"line"},{"divisor":{"h":"1"},"kind":"line"}]},'
+        '"ring":{"basis":["h"],"pairing":[["1"]]}},"results":{"assertions":'
+        '{"ample_on_curves":"unknown","c1_positive":"unknown","semistable":"asserted"},'
+        '"c1":{"h":"3"},"c1_sq":"9","c1sq_minus_c2":"7","c2":"2","lubke_coefficient":"2",'
+        '"lubke_gap":"5","rank":2,"st_gap":"5"},"verdict":"assertions-missing",'
+        '"version":"0.1.0","warnings":["unverified hypotheses: c1_positive, ample_on_curves"]}\n',
+        "st-check: assertions-missing (lubke_gap = 5)\n",
+    ),
+    "nakai": (
+        {
+            "ring": HYPERBOLIC,
+            "divisor": {"L": "1", "H": "1"},
+            "curves": [{"L": "1"}, {"L": "1", "H": "-1"}],
+        },
+        1,
+        '{"command":"nakai","inputs":{"curves":[{"H":"0","L":"1"},{"H":"-1","L":"1"}],'
+        '"divisor":{"H":"1","L":"1"},"ring":{"basis":["L","H"],"pairing":[["0","1"],'
+        '["1","0"]]}},"results":{"curve_degrees":["1","0"],"note":"necessary conditions '
+        'over the supplied curve list; not a full ampleness decision","self_intersection":"2"},'
+        '"verdict":"fail","version":"0.1.0","warnings":[]}\n',
+        "nakai: fail (self-intersection = 2)\n",
+    ),
+    "counterexample": (
+        {"r": 4, "a": "1/2"},
+        0,
+        '{"command":"counterexample","inputs":{"a":"1/2","r":4},"results":{"c1_sq":"6",'
+        '"c2":"5/2","identities":[{"actual":"6","expected":"6","holds":true,"name":"c1_sq"},'
+        '{"actual":"5/2","expected":"5/2","holds":true,"name":"c2"},{"actual":"0",'
+        '"expected":"0","holds":true,"name":"lubke_gap"},{"actual":"0","expected":"0",'
+        '"holds":true,"name":"slope_spread"}],"rank":4,"ring":{"basis":["L","H"],'
+        '"pairing":[["0","1/2"],["1/2","1/3"]]},"slopes":["3/2","3/2","3/2","3/2"]},'
+        '"verdict":"pass","version":"0.1.0","warnings":[]}\n',
+        "counterexample: pass (c1_sq = 6, c2 = 5/2)\n",
+    ),
+    "epsilon": (
+        {"ring": P2, "bundle": split_bundle({"h": "3"}, {"h": "2"}), "omega_sq": "25"},
+        0,
+        '{"command":"epsilon","inputs":{"bundle":{"kind":"sum","summands":[{"divisor":'
+        '{"h":"3"},"kind":"line"},{"divisor":{"h":"2"},"kind":"line"}]},"omega_sq":"25",'
+        '"ring":{"basis":["h"],"pairing":[["1"]]}},"results":{"c1_sq":"25","c2":"6",'
+        '"epsilon":"26/125","rank":2},"verdict":"pass","version":"0.1.0","warnings":[]}\n',
+        "epsilon: 26/125\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_exact_command_output_is_pinned(capsys, tmp_path, command):
+    doc, expect_code, expect_out, expect_err = GOLDEN[command]
+    code, out, err = invoke(capsys, [command, "--config", write_config(tmp_path, doc)])
+    assert (code, out, err) == (expect_code, expect_out, expect_err)
+
+
+@pytest.mark.parametrize(
+    "command, epsilon, samples",
+    [
+        # the sampler's trace residual is 6e-5, far above the 1e-9 tolerance,
+        # while every gap is finite and positive
+        ("verify-lemma", 1e12, 64),
+        # trace residual 1.0 and eigenvalues of -inf
+        ("griffiths", 1e160, 4),
+    ],
+)
+def test_sweeps_with_broken_constraints_exit_3(capsys, tmp_path, command, epsilon, samples):
+    doc = {"sweep": {"ranks": [2], "epsilons": [epsilon], "samples": samples}}
+    code, report, err = report_of(
+        capsys, [command, "--config", write_config(tmp_path, doc)], expect_code=3
+    )
+    assert report["verdict"] == "error"
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    assert "curvature constraints violated" in error["message"]
+    assert err.endswith(f"{command}: error (InconsistentStateError: {error['message']})\n")

@@ -149,6 +149,14 @@ def test_validate_rejects_tampered_instance():
         validate(PointCurvature(3, coeff2, 0.0, pc.B))
 
 
+def test_validate_counts_nan_residuals_as_violations():
+    pc = sample_curvature(3, 0.0, 5)
+    coeff = pc.coeff.copy()
+    coeff[0, 0, 0, 0] = np.nan
+    with pytest.raises(InconsistentStateError, match="trace=nan"):
+        validate(PointCurvature(3, coeff, 0.0, pc.B))
+
+
 def test_coeff_array_is_read_only():
     pc = sample_curvature(2, 0.0, 0)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ample.curvature import pointwise_gap
-from ample.errors import InvalidInputError
+from ample.errors import InconsistentStateError, InvalidInputError
 from ample.sweep import (
     ADVERSARIAL_SOURCE,
     RANDOM_SOURCE,
@@ -143,3 +143,12 @@ def test_lagrange_check_validation():
         run_lagrange_check(0, 1)
     with pytest.raises(InvalidInputError):
         run_lagrange_check(10, -1)
+
+
+def test_constraint_residuals_gate_the_sweep():
+    # at epsilon 1e12 the sampled trace is off by 6e-5; the gaps themselves
+    # stay finite and positive, so only the residual gate can catch it
+    cfg = SweepConfig(ranks=(2,), epsilons=(1e12,), samples=64, restarts=1, iterations=5)
+    message = r"rank 2, epsilon 1000000000000\.0: curvature constraints violated"
+    with pytest.raises(InconsistentStateError, match=message):
+        run_gap_sweep(cfg)
