@@ -137,6 +137,119 @@ def _generator(seed: Seed, spawn_key: tuple[int, ...] = ()) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
+# constants, for deriving many per-sample generators at once
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_CHUNK = 256
+
+
+def _words(entropy) -> list[int]:
+    """uint32 words of an int or a nested tuple of ints, as SeedSequence reads them."""
+    if isinstance(entropy, tuple):
+        words = []
+        for e in entropy:
+            words += _words(e)
+        return words
+    x = int(entropy)
+    if x < 0:
+        raise ValueError(f"expected non-negative integer, got {x}")
+    if x <= _MASK32:
+        return [x]
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _pcg64_states(seeds: Sequence[Seed], spawn_key: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=spawn_key)) per seed.
+
+    The SeedSequence hash is data-independent in its control flow, so it runs
+    as uint32 array arithmetic over all seeds whose entropy has the same
+    number of words; this replaces three object constructions per seed.
+    """
+    spawn = _words(spawn_key)
+    rows = [_words(seed) for seed in seeds]
+    for row in rows:
+        if spawn and len(row) < _POOL_SIZE:
+            row += [0] * (_POOL_SIZE - len(row))
+        row += spawn
+    states: list[tuple[int, int] | None] = [None] * len(rows)
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for idx in by_length.values():
+        words = _pool_words(np.array([rows[i] for i in idx], dtype=np.uint32))
+        for i, (s_hi, s_lo, i_hi, i_lo) in zip(idx, words.tolist()):
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            states[i] = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    return states
+
+
+def _pool_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy row).generate_state(4, uint64) for each row of (n, L) words."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = (h * _MULT_A) & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    n, length = entropy.shape
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    h = _INIT_B
+    out = np.empty((n, 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
+        h = (h * _MULT_B) & _MASK32
+        value = value * np.uint32(h)
+        out[:, i] = value ^ (value >> np.uint32(16))
+    return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
+
+
+def _generators(seeds: Sequence[Seed], spawn_key: tuple[int, ...] = ()):
+    """Yield, per seed, a Generator in the state _generator(seed, spawn_key) starts in.
+
+    One PCG64 is re-stated per seed instead of building a SeedSequence, a
+    PCG64 and a Generator each time, so draw from each yielded generator
+    before taking the next.  States are derived _STATE_CHUNK seeds at a time
+    so that a large batch does not hold them all.
+    """
+    seeds = list(seeds)
+    bitgen = np.random.PCG64(0)
+    g = np.random.Generator(bitgen)
+    for lo in range(0, len(seeds), _STATE_CHUNK):
+        for state, inc in _pcg64_states(seeds[lo : lo + _STATE_CHUNK], spawn_key):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield g
+
+
 def _check_seed(seed: Seed) -> Seed:
     entries = seed if isinstance(seed, tuple) else (seed,)
     for s in entries:

@@ -25,18 +25,24 @@ from .curvature import (
     gap_scale_offset,
     validate,
 )
-from .curvature import _generator  # shared seed-derivation rule
+from .curvature import _generators  # shared seed-derivation rule
 from .errors import InvalidInputError
 
 ARMIJO_C = 1e-4
 ETA0 = 0.25
 ETA_MAX = 4.0
 ETA_MIN = 1e-10
+DESCENT_CHUNK = 512
 
 
 def form_matrices(coeff: np.ndarray) -> np.ndarray:
-    """Reindex coeff[..., i, j, a, b] to M[..., a, b, i, j] for quadratic forms."""
-    return np.ascontiguousarray(np.moveaxis(coeff, (-4, -3), (-2, -1)))
+    """Reindex coeff[..., i, j, a, b] to M[..., a, b, i, j] for quadratic forms.
+
+    A batch of shape (n, r, r, 2, 2) comes back instance-last in memory, the
+    layout the descent runs in.
+    """
+    M = np.moveaxis(coeff, (-4, -3), (-2, -1))
+    return _instance_last(M) if M.ndim == 5 else np.ascontiguousarray(M)
 
 
 def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -50,13 +56,12 @@ def _q(V: np.ndarray, Mv: np.ndarray) -> np.ndarray:
 def det_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
     """det of the 2x2 form matrix, with its conjugate-coordinate gradient."""
     f = (q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]).real
-    grad = (
-        q[..., 1, 1, None] * Mv[:, :, 0, 0]
-        + q[..., 0, 0, None] * Mv[:, :, 1, 1]
-        - q[..., 1, 0, None] * Mv[:, :, 0, 1]
-        - q[..., 0, 1, None] * Mv[:, :, 1, 0]
-        - 2.0 * f[..., None] * V
-    )
+    # accumulated in place, term by term in the order of the formula
+    grad = q[..., 1, 1, None] * Mv[:, :, 0, 0]
+    grad += q[..., 0, 0, None] * Mv[:, :, 1, 1]
+    grad -= q[..., 1, 0, None] * Mv[:, :, 0, 1]
+    grad -= q[..., 0, 1, None] * Mv[:, :, 1, 0]
+    grad -= 2.0 * f[..., None] * V
     return f, grad
 
 
@@ -86,9 +91,32 @@ def lmin_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
 
 def objective_values(M: np.ndarray, V: np.ndarray, objective) -> np.ndarray:
     """Objective values only, for already-normalized vectors V of shape (n, S, r)."""
+    V = _instance_last(np.asarray(V))
     Mv = _mv(M, V)
     f, _ = objective(V, Mv, _q(V, Mv))
     return f
+
+
+def _instance_last(a: np.ndarray) -> np.ndarray:
+    """Same array with the instance axis 0 innermost in memory.
+
+    Every per-row operation of the descent then runs long inner loops over
+    instances instead of loops of length r; results are bit for bit the same,
+    since each element is computed by the same operations in the same order.
+    """
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def _take_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows keep (flat indices over the first two axes) of a as a (k, 1, ...) array."""
+    return _instance_last(a.reshape(-1, *a.shape[2:])[keep][:, None])
+
+
+def _put_rows(V_all: np.ndarray, f_all: np.ndarray, rows: np.ndarray, V: np.ndarray, f: np.ndarray):
+    """Write compacted (k, 1, ...) rows back to their flat indices rows of the full arrays."""
+    inst, start = np.divmod(rows, V_all.shape[1])
+    V_all[inst, start] = V[:, 0]
+    f_all[inst, start] = f[:, 0]
 
 
 def _normalize(V: np.ndarray) -> np.ndarray:
@@ -110,30 +138,76 @@ def minimize_on_sphere(
     size collapses; rows that hit the iteration cap keep converged = False.
     Accepted steps only ever decrease f, so the final f never exceeds the
     value at the corresponding start.
+
+    Rows never interact, so instances are descended DESCENT_CHUNK at a time,
+    which keeps each step's arrays in cache, without changing any value.
     """
-    V = _normalize(np.array(V0, dtype=np.complex128))
+    V0 = np.asarray(V0, dtype=np.complex128)
+    n = V0.shape[0]
+    if n <= DESCENT_CHUNK:
+        return _descend(M, V0, objective, iterations, tol)
+    V = np.empty(V0.shape, dtype=np.complex128)
+    f = np.empty(V0.shape[:2])
+    converged = np.empty(V0.shape[:2], dtype=bool)
+    for lo in range(0, n, DESCENT_CHUNK):
+        hi = lo + DESCENT_CHUNK
+        V[lo:hi], f[lo:hi], converged[lo:hi] = _descend(
+            M[lo:hi], V0[lo:hi], objective, iterations, tol
+        )
+    return V, f, converged
+
+
+def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: float):
+    """minimize_on_sphere on one chunk of instances.
+
+    A stopped row never moves again, so once at most half of the carried
+    rows are still active the stopped ones are written out and dropped, and
+    the active ones go on as (k, 1) rows with their M gathered per row.
+    """
+    V = _normalize(_instance_last(V0))
     n, S, _ = V.shape
+    M = _instance_last(M)
     Mv = _mv(M, V)
     f, grad = objective(V, Mv, _q(V, Mv))
-    eta = np.full((n, S), ETA0)
-    active = np.ones((n, S), dtype=bool)
+    # the full arrays are updated in place until the first compaction and
+    # take the carried rows back at each later one and at the end
+    V_all, f_all = V, f
+    rows = None  # flat (instance, start) index of each carried row, once compacted
+    eta = np.full((S, n), ETA0).T
+    active = np.ones((S, n), dtype=bool).T
     for _ in range(iterations):
         radial = np.einsum("nsi,nsi->ns", np.conj(V), grad)
         tan = grad - radial[..., None] * V
         gnorm2 = np.einsum("nsi,nsi->ns", np.conj(tan), tan).real
         active &= np.sqrt(gnorm2) > tol
         active &= eta > ETA_MIN
-        if not active.any():
+        keep = np.flatnonzero(active)
+        if keep.size == 0:
             break
+        if keep.size <= active.size // 2:
+            if rows is None:
+                rows = keep
+            else:
+                _put_rows(V_all, f_all, rows, V, f)
+                rows = rows[keep]
+            M = _instance_last(M[keep // active.shape[1]])
+            V, f, grad, tan, gnorm2, eta, active = (
+                _take_rows(a, keep) for a in (V, f, grad, tan, gnorm2, eta, active)
+            )
         W = _normalize(V - eta[..., None] * tan)
         Mw = _mv(M, W)
         fw, gradw = objective(W, Mw, _q(W, Mw))
         accept = active & (fw <= f - ARMIJO_C * eta * gnorm2)
-        V = np.where(accept[..., None], W, V)
-        f = np.where(accept, fw, f)
-        grad = np.where(accept[..., None], gradw, grad)
+        np.copyto(V, W, where=accept[..., None])
+        np.copyto(f, fw, where=accept)
+        np.copyto(grad, gradw, where=accept[..., None])
         eta = np.where(accept, np.minimum(eta * 1.5, ETA_MAX), np.where(active, eta * 0.5, eta))
-    return V, f, ~active
+    if rows is None:
+        return V_all, f_all, ~active
+    _put_rows(V_all, f_all, rows, V, f)
+    converged = np.ones((n, S), dtype=bool)
+    converged.reshape(-1)[rows] = ~active.reshape(-1)
+    return V_all, f_all, converged
 
 
 def basis_and_random_starts(
@@ -158,11 +232,10 @@ def basis_and_random_starts(
     V0 = np.zeros((n, restarts, r), dtype=np.complex128)
     V0[np.arange(n), 0, best] = 1.0
     if restarts > 1:
-        for i, seed in enumerate(seeds):
-            g = _generator(seed, spawn_key=(1,))
-            z = g.standard_normal((restarts - 1, 2 * r))
-            V0[i, 1:] = z[:, :r] + 1j * z[:, r:]
-        V0[:, 1:] = _normalize(V0[:, 1:])
+        z = np.empty((n, restarts - 1, 2 * r))
+        for g, row in zip(_generators(seeds, (1,)), z):
+            g.standard_normal(out=row)
+        V0[:, 1:] = _normalize(z[..., :r] + 1j * z[..., r:])
     return V0
 
 

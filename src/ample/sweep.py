@@ -29,6 +29,7 @@ from .curvature import (
     _batch_residuals,
     _coefficient_count,
     _generator,
+    _generators,
     batch_lhs_density,
     build_batch,
     check_residuals,
@@ -159,8 +160,8 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         B = np.broadcast_to(pf.B, (n, r, r))
     else:
         uniforms = np.empty((n, m))
-        for i, seed in enumerate(seeds):
-            uniforms[i] = _generator(seed).random(m)
+        for g, row in zip(_generators(seeds), uniforms):
+            g.random(out=row)
         coeff, B = build_batch(r, epsilon, uniforms)
     residual_max = _batch_residuals(coeff, B, epsilon)
     M = form_matrices(coeff)
@@ -176,10 +177,10 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     best_source = np.zeros(n, dtype=np.int8)
 
     if cfg.random_vectors > 0:
-        V = np.empty((n, cfg.random_vectors, r), dtype=np.complex128)
-        for i, seed in enumerate(seeds):
-            z = _generator(seed, spawn_key=(2,)).standard_normal((cfg.random_vectors, 2 * r))
-            V[i] = z[:, :r] + 1j * z[:, r:]
+        z = np.empty((n, cfg.random_vectors, 2 * r))
+        for g, row in zip(_generators(seeds, (2,)), z):
+            g.standard_normal(out=row)
+        V = z[..., :r] + 1j * z[..., r:]
         V /= np.sqrt(np.einsum("nsi,nsi->ns", np.conj(V), V).real)[..., None]
         values = scale * objective_values(M, V, objective) + offsets[:, None]
         idx = np.argmin(values, axis=1)

@@ -3,6 +3,7 @@ import pytest
 
 from ample.curvature import (
     PointCurvature,
+    _generators,
     batch_lhs_density,
     build_batch,
     c2_density_pairwise,
@@ -109,6 +110,20 @@ def test_batch_agrees_with_scalar_sampling():
         pc = sample_curvature(r, eps, seed)
         assert np.array_equal(coeff[i], pc.coeff)
         assert np.array_equal(B[i], pc.B)
+
+
+def test_batched_seeding_matches_numpy_seed_sequence():
+    # the batched derivation must give the very streams that
+    # PCG64(SeedSequence(seed, spawn_key)) gives, for every seed shape the
+    # sweeps and the scalar API use, including entries wider than 32 bits
+    seeds = [(0, 3, i) for i in range(50)] + [
+        0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1, (5,), (2**33, 1), (1, 2, 3, 4, 5, 6), ((1, 2), 3),
+    ]
+    for spawn_key in ((), (1,), (2,), (3, 4)):
+        for seed, g in zip(seeds, _generators(seeds, spawn_key)):
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+            assert np.array_equal(g.random(5), ref.random(5))
+            assert np.array_equal(g.standard_normal(3), ref.standard_normal(3))
 
 
 def test_seed_validation():

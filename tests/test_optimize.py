@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ample.curvature import pointwise_gap, projectively_flat, sample_curvature
+from ample.curvature import build_batch, pointwise_gap, projectively_flat, sample_curvature
 from ample.errors import InvalidInputError
 from ample.spheremin import (
+    DESCENT_CHUNK,
     basis_and_random_starts,
     det_objective,
     form_matrices,
@@ -77,6 +78,41 @@ def test_minimizer_beats_dense_grid_at_rank_two():
         assert found_det <= grid_min + 1e-7
         spot = pointwise_gap(pc, V[0, int(np.argmin(dets))]).gap
         assert found.gap <= spot + 1e-6
+
+
+def test_batched_descent_matches_each_instance_alone():
+    # rows never interact: a batch, which drops its stopped rows at other
+    # iterations than a single instance does, returns the same bits; with at
+    # least 3/4 of the rows stopped the batch has dropped rows at least once
+    for r, objective in ((2, det_objective), (3, det_objective), (3, lmin_objective)):
+        pcs = [sample_curvature(r, 0.1, (4, r, i)) for i in range(24)]
+        M = form_matrices(np.stack([pc.coeff for pc in pcs]))
+        V0 = basis_and_random_starts(M, objective, 4, [pc.seed for pc in pcs])
+        V, f, converged = minimize_on_sphere(M, V0, objective, iterations=300, tol=1e-6)
+        assert converged.mean() >= 0.75
+        for i, pc in enumerate(pcs):
+            Vi, fi, ci = minimize_on_sphere(
+                form_matrices(pc.coeff)[None], V0[i : i + 1], objective, iterations=300, tol=1e-6
+            )
+            assert np.array_equal(V[i], Vi[0])
+            assert np.array_equal(f[i], fi[0])
+            assert np.array_equal(converged[i], ci[0])
+
+
+def test_chunked_descent_matches_other_splits_of_the_instances():
+    # a batch larger than DESCENT_CHUNK is descended chunk by chunk; splitting
+    # the instance axis anywhere else gives the same bits
+    r = 3
+    n = DESCENT_CHUNK + 100
+    uniforms = np.random.default_rng(8).random((n, 4 * r * r - 3))
+    M = form_matrices(build_batch(r, 0.1, uniforms)[0])
+    V0 = basis_and_random_starts(M, det_objective, 3, [(8, i) for i in range(n)])
+    V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=40, tol=1e-6)
+    for lo, hi in ((0, 250), (250, n)):
+        Vp, fp, cp = minimize_on_sphere(M[lo:hi], V0[lo:hi], det_objective, iterations=40, tol=1e-6)
+        assert np.array_equal(V[lo:hi], Vp)
+        assert np.array_equal(f[lo:hi], fp)
+        assert np.array_equal(converged[lo:hi], cp)
 
 
 def test_reported_gap_matches_direct_evaluation_at_reported_vector():
