@@ -101,8 +101,8 @@ def _sweep_doc(cfg: RunConfig) -> dict:
     return doc
 
 
-# how each config key is echoed into a report's inputs; csv_path names an
-# output file, not an input, and is left out
+# how each config key is echoed into a report's inputs; run() leaves out
+# every key without an entry, as it does csv_path, which names an output file
 _ECHO = {
     "ring": lambda cfg: _ring_doc(cfg.ring),
     "bundle": lambda cfg: _bundle_doc(cfg.bundle, cfg.ring),

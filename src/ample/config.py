@@ -12,7 +12,10 @@ entry in the command table, cli.COMMANDS.  This module owns how each key is
 parsed: _KEYS lists every key once, with its parser and whether it is
 required, in the order keys are read.  A new command that only reuses
 existing keys needs nothing here; a new key needs a RunConfig field and a
-_KEYS row.
+_KEYS row, plus an entry in cli._ECHO if the report should echo it: cli.run
+leaves every key without one out of the report's inputs.  The integer
+bounds of the sweep object come from sweep.INT_MINIMUMS, the table
+SweepConfig checks too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .bundles import BundleExpr, Dual, Line, Sum, Twist
 from .criteria import Assertions
 from .errors import ConfigError, InvalidInputError
 from .intersection import CohClass, SurfaceRing, as_rational
-from .sweep import SweepConfig
+from .sweep import INT_MINIMUMS, SweepConfig
 
 
 @dataclass(frozen=True)
@@ -174,16 +177,7 @@ def _parse_sweep(value, path: str) -> SweepConfig:
     if "epsilons" in obj:
         eps = _array(obj.pop("epsilons"), f"{path}.epsilons")
         kwargs["epsilons"] = tuple(_real(x, f"{path}.epsilons[{i}]") for i, x in enumerate(eps))
-    for name, minimum in (
-        ("samples", 1),
-        ("seed", 0),
-        ("restarts", 1),
-        ("random_vectors", 0),
-        ("iterations", 1),
-        ("batch_size", 1),
-        ("threads", 1),
-        ("histogram_bins", 1),
-    ):
+    for name, minimum in INT_MINIMUMS.items():
         if name in obj:
             kwargs[name] = _int(obj.pop(name), f"{path}.{name}", minimum)
     for name in ("tol", "threshold"):

@@ -27,9 +27,8 @@ from .errors import InconsistentStateError, InvalidInputError
 
 Seed = int | tuple[int, ...]
 
-# residual tiers: constructed-by-solving constraints sit at 1e-12, inequality
-# verification at 1e-9, optimizer-vs-closed-form comparisons at 1e-6
-CONSTRUCTION_TOL = 1e-12
+# residual tiers: inequality verification at 1e-9, optimizer-vs-closed-form
+# comparisons at 1e-6
 VALIDATION_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
 
@@ -115,13 +114,18 @@ def residuals(pc: PointCurvature) -> dict[str, float]:
     return _batch_residuals(pc.coeff[None], pc.B[None], pc.epsilon)
 
 
+def violations(res: dict[str, float], tol: float = VALIDATION_TOL) -> dict[str, float]:
+    """The structural residuals that are not <= tol; NaN counts, b_bound is skipped."""
+    return {k: v for k, v in res.items() if k != "b_bound" and not (v <= tol)}
+
+
 def check_residuals(res: dict[str, float], tol: float = VALIDATION_TOL, where: str = "") -> None:
     """Raise InconsistentStateError if any structural residual exceeds tol.
 
-    A NaN residual counts as a violation; b_bound is informational and
-    skipped.  where prefixes the message, e.g. with the sweep configuration.
+    The rule is violations(); where prefixes the message, e.g. with the
+    sweep configuration.
     """
-    bad = {k: v for k, v in res.items() if k != "b_bound" and not (v <= tol)}
+    bad = violations(res, tol)
     if bad:
         worst = ", ".join(f"{k}={v:.3e}" for k, v in sorted(bad.items()))
         raise InconsistentStateError(f"{where}curvature constraints violated: {worst}")
@@ -130,11 +134,6 @@ def check_residuals(res: dict[str, float], tol: float = VALIDATION_TOL, where: s
 def validate(pc: PointCurvature, tol: float = VALIDATION_TOL) -> None:
     """Raise InconsistentStateError if any structural residual exceeds tol."""
     check_residuals(residuals(pc), tol)
-
-
-def _generator(seed: Seed, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 # numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
@@ -146,7 +145,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_CHUNK = 256
 
 
 def _words(entropy) -> list[int]:
@@ -229,25 +227,38 @@ def _pool_words(entropy: np.ndarray) -> np.ndarray:
 
 
 def _generators(seeds: Sequence[Seed], spawn_key: tuple[int, ...] = ()):
-    """Yield, per seed, a Generator in the state _generator(seed, spawn_key) starts in.
+    """Yield, per seed, a Generator in the state PCG64(SeedSequence(seed,
+    spawn_key=spawn_key)) starts in.
 
     One PCG64 is re-stated per seed instead of building a SeedSequence, a
     PCG64 and a Generator each time, so draw from each yielded generator
-    before taking the next.  States are derived _STATE_CHUNK seeds at a time
-    so that a large batch does not hold them all.
+    before taking the next.
     """
-    seeds = list(seeds)
     bitgen = np.random.PCG64(0)
     g = np.random.Generator(bitgen)
-    for lo in range(0, len(seeds), _STATE_CHUNK):
-        for state, inc in _pcg64_states(seeds[lo : lo + _STATE_CHUNK], spawn_key):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield g
+    for state, inc in _pcg64_states(seeds, spawn_key):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield g
+
+
+def seeded_draws(
+    seeds: Sequence[Seed], width: int, spawn_key: tuple[int, ...] = (), normal: bool = False
+) -> np.ndarray:
+    """(len(seeds), width) draws; row i is the first width draws of the stream
+    of seeds[i] and spawn_key, uniform on [0, 1) or, with normal, standard normal.
+    """
+    out = np.empty((len(seeds), width))
+    for g, row in zip(_generators(seeds, spawn_key), out):
+        if normal:
+            g.standard_normal(out=row)
+        else:
+            g.random(out=row)
+    return out
 
 
 def _check_seed(seed: Seed) -> Seed:
@@ -340,8 +351,7 @@ def sample_curvature(r: int, epsilon: float, seed: Seed) -> PointCurvature:
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon}")
     _check_seed(seed)
-    g = _generator(seed)
-    uniforms = g.random((1, _coefficient_count(r)))
+    uniforms = seeded_draws([seed], _coefficient_count(r))
     coeff, B = build_batch(int(r), float(epsilon), uniforms)
     return PointCurvature(int(r), coeff[0], float(epsilon), B[0], seed)
 

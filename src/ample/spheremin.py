@@ -23,9 +23,9 @@ from .curvature import (
     PointCurvature,
     batch_lhs_density,
     gap_scale_offset,
+    seeded_draws,
     validate,
 )
-from .curvature import _generators  # shared seed-derivation rule
 from .errors import InvalidInputError
 
 ARMIJO_C = 1e-4
@@ -144,8 +144,6 @@ def minimize_on_sphere(
     """
     V0 = np.asarray(V0, dtype=np.complex128)
     n = V0.shape[0]
-    if n <= DESCENT_CHUNK:
-        return _descend(M, V0, objective, iterations, tol)
     V = np.empty(V0.shape, dtype=np.complex128)
     f = np.empty(V0.shape[:2])
     converged = np.empty(V0.shape[:2], dtype=bool)
@@ -232,11 +230,19 @@ def basis_and_random_starts(
     V0 = np.zeros((n, restarts, r), dtype=np.complex128)
     V0[np.arange(n), 0, best] = 1.0
     if restarts > 1:
-        z = np.empty((n, restarts - 1, 2 * r))
-        for g, row in zip(_generators(seeds, (1,)), z):
-            g.standard_normal(out=row)
-        V0[:, 1:] = _normalize(z[..., :r] + 1j * z[..., r:])
+        V0[:, 1:] = random_unit_vectors(seeds, restarts - 1, r, (1,))
     return V0
+
+
+def random_unit_vectors(seeds, count: int, r: int, spawn_key: tuple[int, ...]) -> np.ndarray:
+    """count unit vectors in C^r per seed, shape (len(seeds), count, r).
+
+    Row i is drawn from the stream of seeds[i] and spawn_key: 2r standard
+    normals per vector, real parts first, then normalized.
+    """
+    z = seeded_draws(seeds, count * 2 * r, spawn_key, normal=True)
+    z = z.reshape(len(seeds), count, 2 * r)
+    return _normalize(z[..., :r] + 1j * z[..., r:])
 
 
 @dataclass(frozen=True)

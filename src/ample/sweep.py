@@ -10,9 +10,17 @@ base seed s is built from SeedSequence((s, config_index, sample_index));
 its adversarial starting vectors come from spawn key (1,) of that sequence
 and its random test vectors from spawn key (2,).  Configurations are
 enumerated rank-major over (ranks x epsilons).  Work is split into
-fixed-size batches by sample index, each batch is a pure function of the
-seed, and reductions run in batch order after all batches finish, so
-results are bitwise identical for any thread count.
+fixed-size batches by sample index, and the batches of all configurations
+run as one job list on one thread pool.  Each batch is a pure function of
+the seed, and after all batches finish the reductions run per
+configuration, in configuration order and then batch order, so results are
+bitwise identical for any thread count.
+
+A batch whose sampled curvatures break the constraints skips the search,
+and its configuration's reduction raises InconsistentStateError.  The
+worst record of each configuration replays through replay_worst, in the
+random and the projectively-flat mode alike, and the polish of a gap
+sweep's worst sample searches that replay.
 """
 
 from __future__ import annotations
@@ -20,16 +28,15 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curvature import (
+    OPTIMIZER_TOL,
     PointCurvature,
     _batch_residuals,
     _coefficient_count,
-    _generator,
-    _generators,
     batch_lhs_density,
     build_batch,
     check_residuals,
@@ -38,6 +45,8 @@ from .curvature import (
     lagrange_max_numeric,
     projectively_flat,
     sample_curvature,
+    seeded_draws,
+    violations,
 )
 from .errors import InconsistentStateError, InvalidInputError
 from .spheremin import (
@@ -48,10 +57,24 @@ from .spheremin import (
     min_gap_over_v,
     minimize_on_sphere,
     objective_values,
+    random_unit_vectors,
 )
 
 RANDOM_SOURCE = "random-vector"
 ADVERSARIAL_SOURCE = "adversarial"
+
+# lower bound of each integer SweepConfig field, in the order a config
+# document's sweep object is read
+INT_MINIMUMS = {
+    "samples": 1,
+    "seed": 0,
+    "restarts": 1,
+    "random_vectors": 0,
+    "iterations": 1,
+    "batch_size": 1,
+    "threads": 1,
+    "histogram_bins": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -82,22 +105,13 @@ class SweepConfig:
             raise InvalidInputError("ranks must be a nonempty list of integers >= 2")
         if not self.epsilons or any(not (math.isfinite(e) and e >= 0) for e in self.epsilons):
             raise InvalidInputError("epsilons must be nonempty with entries >= 0")
-        if self.samples < 1:
-            raise InvalidInputError("samples must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.random_vectors < 0:
-            raise InvalidInputError("random_vectors must be >= 0")
-        if self.iterations < 1 or self.batch_size < 1 or self.threads < 1:
-            raise InvalidInputError("iterations, batch_size and threads must be >= 1")
+        for name, minimum in INT_MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise InvalidInputError(f"{name} must be >= {minimum}")
         if self.tol <= 0:
             raise InvalidInputError("tol must be positive")
         if self.mode not in ("random", "projectively-flat"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.histogram_bins < 1:
-            raise InvalidInputError("histogram_bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,8 @@ class WorstRecord:
 
     seed is the full per-sample seed tuple accepted by sample_curvature; v is
     the offending vector; source tells whether a random test vector or the
-    adversarial search found it.
+    adversarial search found it; mode is the sampler mode, which replay_worst
+    needs and reports leave out.
     """
 
     rank: int
@@ -115,6 +130,7 @@ class WorstRecord:
     value: float
     v: tuple[complex, ...]
     source: str
+    mode: str = "random"
 
 
 @dataclass(frozen=True)
@@ -150,141 +166,107 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
 
 
 def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int):
-    """Evaluate samples lo..hi-1 of one configuration; pure in (cfg, args)."""
+    """Evaluate samples lo..hi-1 of one configuration; pure in (cfg, args).
+
+    Returns (values, minimum, residual maxima, converged count), where
+    minimum is (sample index, v, source) of the first lowest value.  A batch
+    whose constraint residuals fail check_residuals' rule stops right after
+    them and returns NaN values and no minimum: the search would only run on
+    numbers that break the constraints.
+    """
     n = hi - lo
-    m = _coefficient_count(r)
     seeds = [(cfg.seed, ci, lo + i) for i in range(n)]
     if cfg.mode == "projectively-flat":
         pf = projectively_flat(r)
         coeff = np.broadcast_to(pf.coeff, (n, r, r, 2, 2))
         B = np.broadcast_to(pf.B, (n, r, r))
     else:
-        uniforms = np.empty((n, m))
-        for g, row in zip(_generators(seeds), uniforms):
-            g.random(out=row)
-        coeff, B = build_batch(r, epsilon, uniforms)
+        coeff, B = build_batch(r, epsilon, seeded_draws(seeds, _coefficient_count(r)))
     residual_max = _batch_residuals(coeff, B, epsilon)
+    if violations(residual_max):
+        return np.full(n, np.nan), None, residual_max, 0
     M = form_matrices(coeff)
 
-    objective = det_objective if kind == "gap" else lmin_objective
     if kind == "gap":
+        objective = det_objective
         scale, offsets = gap_scale_offset(r, epsilon, batch_lhs_density(coeff))
     else:
-        scale, offsets = 1.0, np.zeros(n)
-
-    best_value = np.full(n, np.inf)
-    best_v = np.zeros((n, r), dtype=np.complex128)
-    best_source = np.zeros(n, dtype=np.int8)
-
-    if cfg.random_vectors > 0:
-        z = np.empty((n, cfg.random_vectors, 2 * r))
-        for g, row in zip(_generators(seeds, (2,)), z):
-            g.standard_normal(out=row)
-        V = z[..., :r] + 1j * z[..., r:]
-        V /= np.sqrt(np.einsum("nsi,nsi->ns", np.conj(V), V).real)[..., None]
-        values = scale * objective_values(M, V, objective) + offsets[:, None]
-        idx = np.argmin(values, axis=1)
-        best_value = values[np.arange(n), idx]
-        best_v = V[np.arange(n), idx]
-
+        objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
     V0 = basis_and_random_starts(M, objective, cfg.restarts, seeds)
-    Vmin, f, converged = minimize_on_sphere(M, V0, objective, cfg.iterations, cfg.tol)
-    adv_values = scale * f + offsets[:, None]
-    idx = np.argmin(adv_values, axis=1)
-    adv_best = adv_values[np.arange(n), idx]
-    better = adv_best < best_value
-    best_value = np.where(better, adv_best, best_value)
-    best_v[better] = Vmin[np.arange(n), idx][better]
-    best_source[better] = 1
-
-    return {
-        "lo": lo,
-        "values": best_value,
-        "v": best_v,
-        "source": best_source,
-        "residual_max": residual_max,
-        "converged": int(converged.all(axis=1).sum()),
-    }
+    V, f, converged = minimize_on_sphere(M, V0, objective, cfg.iterations, cfg.tol)
+    if cfg.random_vectors > 0:
+        # the random test vectors go first, so that a value of the search
+        # counts only where it is lower
+        screen = random_unit_vectors(seeds, cfg.random_vectors, r, (2,))
+        V = np.concatenate([screen, V], axis=1)
+        f = np.concatenate([objective_values(M, screen, objective), f], axis=1)
+    values = scale * f + offsets[:, None]
+    idx = np.argmin(values, axis=1)
+    values = values[np.arange(n), idx]
+    i = int(np.argmin(values))
+    source = RANDOM_SOURCE if idx[i] < cfg.random_vectors else ADVERSARIAL_SOURCE
+    minimum = (lo + i, tuple(V[i, idx[i]]), source)
+    return values, minimum, residual_max, int(converged.all(axis=1).sum())
 
 
-def _polish(cfg: SweepConfig, kind: str, r: int, epsilon: float, seed, value: float, v, source):
-    """Replay the worst gap sample through the scalar API and refine its value.
+def _polish(cfg: SweepConfig, worst: WorstRecord) -> WorstRecord:
+    """Refine the worst record of a gap sweep on its replayed curvature.
 
     Runs a longer adversarial search from the same deterministic starts; the
     polished value can only be equal or lower since the search extends the
     recorded one.  Eigenvalue sweeps are not polished, so their record keeps
     the value-at-v pairing intact.
     """
-    label = RANDOM_SOURCE if source == 0 else ADVERSARIAL_SOURCE
-    if kind != "gap":
-        return value, tuple(v), label
-    if cfg.mode == "projectively-flat":
-        pc = projectively_flat(r)
-    else:
-        pc = sample_curvature(r, epsilon, seed)
-    refined = min_gap_over_v(pc, restarts=cfg.restarts, tol=1e-8, iterations=400)
-    if refined.gap < value:
-        return refined.gap, tuple(refined.v), ADVERSARIAL_SOURCE
-    return value, tuple(v), label
+    refined = min_gap_over_v(replay_worst(worst), restarts=cfg.restarts, tol=1e-8, iterations=400)
+    if refined.gap < worst.value:
+        return replace(worst, value=refined.gap, v=tuple(refined.v), source=ADVERSARIAL_SOURCE)
+    return worst
 
 
-def _run_config(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, pool) -> ConfigResult:
-    samples = 1 if cfg.mode == "projectively-flat" else cfg.samples
-    spans = [
-        (lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)
-    ]
-    if pool is None:
-        batches = [_run_batch(cfg, kind, ci, r, epsilon, lo, hi) for lo, hi in spans]
-    else:
-        futures = [pool.submit(_run_batch, cfg, kind, ci, r, epsilon, lo, hi) for lo, hi in spans]
-        batches = [fut.result() for fut in futures]
-
-    values = np.empty(samples)
-    for b in batches:
-        values[b["lo"] : b["lo"] + len(b["values"])] = b["values"]
-    residual_max = {
-        key: max(b["residual_max"][key] for b in batches) for key in batches[0]["residual_max"]
-    }
-    converged = sum(b["converged"] for b in batches)
+def _reduce(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, batches) -> ConfigResult:
+    """One configuration's result from its batches, taken in sample order."""
+    values, minima, residuals, converged = zip(*batches)
+    residual_max = {key: max(res[key] for res in residuals) for key in residuals[0]}
     where = f"rank {r}, epsilon {epsilon!r}: "
     check_residuals(residual_max, where=where)
+    values = np.concatenate(values)
     mean = float(values.mean())
     if not (np.isfinite(values).all() and math.isfinite(mean)):
         raise InconsistentStateError(f"{where}non-finite sweep values")
 
-    arg = int(np.argmin(values))
-    batch = batches[arg // cfg.batch_size]
-    i = arg - batch["lo"]
-    value, v, source = _polish(
-        cfg, kind, r, epsilon, (cfg.seed, ci, arg), float(values[arg]), batch["v"][i],
-        int(batch["source"][i]),
-    )
-    worst = WorstRecord(r, epsilon, (cfg.seed, ci, arg), value, v, source)
+    # the configuration's first minimum is the first minimum of its batch
+    i, v, source = minima[int(np.argmin(values)) // cfg.batch_size]
+    worst = WorstRecord(r, epsilon, (cfg.seed, ci, i), float(values[i]), v, source, cfg.mode)
+    if kind == "gap":
+        worst = _polish(cfg, worst)
     return ConfigResult(
         rank=r,
         epsilon=epsilon,
-        samples=samples,
-        min_value=min(float(values.min()), value),
+        samples=values.size,
+        min_value=min(float(values.min()), worst.value),
         mean_value=mean,
         worst=worst,
         residual_max=residual_max,
-        converged_fraction=converged / samples,
+        converged_fraction=sum(converged) / values.size,
         histogram=_histogram(values, cfg.histogram_bins),
     )
 
 
 def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     configs = [(r, e) for r in cfg.ranks for e in cfg.epsilons]
+    samples = cfg.samples
     if cfg.mode == "projectively-flat":
         configs = [(r, 0.0) for r in cfg.ranks]
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        results = tuple(
-            _run_config(cfg, kind, ci, r, e, pool) for ci, (r, e) in enumerate(configs)
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        samples = 1
+    spans = [(lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)]
+    jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        batches = list(pool.map(lambda job: _run_batch(cfg, kind, *job), jobs))
+    per = len(spans)
+    results = tuple(
+        _reduce(cfg, kind, ci, r, e, batches[ci * per : (ci + 1) * per])
+        for ci, (r, e) in enumerate(configs)
+    )
     min_value = min(c.min_value for c in results)
     residual_max = max(
         v for c in results for k, v in c.residual_max.items() if k != "b_bound"
@@ -318,7 +300,13 @@ def run_griffiths_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 def replay_worst(record: WorstRecord) -> PointCurvature:
-    """Reconstruct the curvature behind a worst record via the public sampler."""
+    """Reconstruct the curvature behind a worst record.
+
+    A projectively-flat record replays to projectively_flat(rank), any other
+    to the public sampler at its seed.
+    """
+    if record.mode == "projectively-flat":
+        return projectively_flat(record.rank)
     return sample_curvature(record.rank, record.epsilon, record.seed)
 
 
@@ -351,7 +339,7 @@ def run_lagrange_check(samples: int, seed: int, max_rank: int = 8) -> LagrangeCh
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    g = _generator(seed)
+    g = np.random.default_rng(seed)
     worst = None
     max_diff = -1.0
     for _ in range(samples):
@@ -365,7 +353,7 @@ def run_lagrange_check(samples: int, seed: int, max_rank: int = 8) -> LagrangeCh
         if diff > max_diff:
             max_diff = diff
             worst = LagrangeInstance(r, mu, tuple(float(x) for x in b), closed, numeric)
-    return LagrangeCheckResult(samples, seed, max_diff, worst, max_diff <= 1e-6)
+    return LagrangeCheckResult(samples, seed, max_diff, worst, max_diff <= OPTIMIZER_TOL)
 
 
 def export_histograms(result: SweepResult, path: str) -> None:

@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name a
+module defines is used somewhere else.
 
-Stands in for a linter's unused-import rule.  The package __init__ is
-exempt: its imports are the public re-exports.
+Stands in for a linter's unused-import and dead-code rules.  The package
+__init__ is exempt from the first: its imports are the public re-exports.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import ample
 
 PACKAGE = Path(ample.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -30,4 +32,45 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines, dunders left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.asname or node.name)
+    return refs
+
+
+def test_every_module_level_name_is_referenced():
+    # in src or tests; a reference inside the statement that defines the
+    # name does not count
+    modules = sorted(PACKAGE.glob("*.py"))
+    paths = modules + sorted(TESTS.glob("*.py"))
+    bodies = {p: ast.parse(p.read_text(encoding="utf-8")).body for p in paths}
+    refs = {(p, i): _references(node) for p, body in bodies.items() for i, node in enumerate(body)}
+    unused = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in modules
+        for i, node in enumerate(bodies[path])
+        for name in _defined(node)
+        if not any(name in r for key, r in refs.items() if key != (path, i))
+    ]
     assert unused == []

@@ -1,12 +1,16 @@
 import csv
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ample.config import config_from_mapping
 from ample.curvature import pointwise_gap
-from ample.errors import InconsistentStateError, InvalidInputError
+from ample.errors import ConfigError, InconsistentStateError, InvalidInputError
 from ample.sweep import (
     ADVERSARIAL_SOURCE,
+    INT_MINIMUMS,
     RANDOM_SOURCE,
     SweepConfig,
     export_histograms,
@@ -51,8 +55,6 @@ def test_sweep_is_reproducible():
 
 
 def test_sweep_independent_of_thread_count_and_batch_size():
-    from dataclasses import replace
-
     base = run_gap_sweep(SMALL)
     threaded = run_gap_sweep(replace(SMALL, threads=4))
     rebatched = run_gap_sweep(replace(SMALL, batch_size=7))
@@ -61,13 +63,14 @@ def test_sweep_independent_of_thread_count_and_batch_size():
 
 
 def test_worst_record_replays_to_the_recorded_value():
-    res = run_gap_sweep(SMALL)
-    for c in res.results:
-        pc = replay_worst(c.worst)
-        assert pc.rank == c.rank
-        assert pc.epsilon == c.epsilon
-        again = pointwise_gap(pc, np.array(c.worst.v)).gap
-        assert again == pytest.approx(c.worst.value, rel=1e-9, abs=1e-12)
+    for mode in ("random", "projectively-flat"):
+        res = run_gap_sweep(replace(SMALL, mode=mode))
+        for c in res.results:
+            pc = replay_worst(c.worst)
+            assert pc.rank == c.rank
+            assert pc.epsilon == c.epsilon
+            again = pointwise_gap(pc, np.array(c.worst.v)).gap
+            assert again == pytest.approx(c.worst.value, rel=1e-9, abs=1e-12)
 
 
 def test_griffiths_worst_record_matches_eigenvalue_at_vector():
@@ -152,3 +155,25 @@ def test_constraint_residuals_gate_the_sweep():
     message = r"rank 2, epsilon 1000000000000\.0: curvature constraints violated"
     with pytest.raises(InconsistentStateError, match=message):
         run_gap_sweep(cfg)
+
+
+def test_broken_constraints_stop_before_the_search():
+    # at epsilon 1e160 the search would overflow in the eigenvalue objective;
+    # the batch stops at its residuals, so no numpy warning is raised first
+    cfg = SweepConfig(ranks=(2,), epsilons=(1e160,), samples=4)
+    message = r"rank 2, epsilon 1e\+160: curvature constraints violated"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentStateError, match=message):
+            run_griffiths_sweep(cfg)
+
+
+@pytest.mark.parametrize("name, minimum", INT_MINIMUMS.items())
+def test_integer_minimums_hold_in_the_library_and_the_config(name, minimum):
+    assert getattr(SweepConfig(ranks=(2,), **{name: minimum}), name) == minimum
+    with pytest.raises(InvalidInputError, match=f"^{name} must be >= {minimum}$"):
+        SweepConfig(ranks=(2,), **{name: minimum - 1})
+    doc = {"command": "verify-lemma", "sweep": {"ranks": [2], name: minimum - 1}}
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(doc)
+    assert str(exc.value) == f"sweep.{name}: must be >= {minimum}, got {minimum - 1}"
