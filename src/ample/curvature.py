@@ -136,137 +136,63 @@ def validate(pc: PointCurvature, tol: float = VALIDATION_TOL) -> None:
     check_residuals(residuals(pc), tol)
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
-# constants, for deriving many per-sample generators at once
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+def seed_position(seed: Seed) -> tuple[tuple[int, ...], int]:
+    """(key, row) of a public seed: a tuple (k..., i) is row i of key (k...),
+    and an integer s is row 0 of key (s,).
 
-
-def _words(entropy) -> list[int]:
-    """uint32 words of an int or a nested tuple of ints, as SeedSequence reads them."""
-    if isinstance(entropy, tuple):
-        words = []
-        for e in entropy:
-            words += _words(e)
-        return words
-    x = int(entropy)
-    if x < 0:
-        raise ValueError(f"expected non-negative integer, got {x}")
-    if x <= _MASK32:
-        return [x]
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
-def _pcg64_states(seeds: Sequence[Seed], spawn_key: tuple[int, ...] = ()) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=spawn_key)) per seed.
-
-    The SeedSequence hash is data-independent in its control flow, so it runs
-    as uint32 array arithmetic over all seeds whose entropy has the same
-    number of words; this replaces three object constructions per seed.
+    The row is a sample index below 2**64, which keeps every Philox counter
+    that seeded_draws derives from it in range and its slots apart.
     """
-    spawn = _words(spawn_key)
-    rows = [_words(seed) for seed in seeds]
-    for row in rows:
-        if spawn and len(row) < _POOL_SIZE:
-            row += [0] * (_POOL_SIZE - len(row))
-        row += spawn
-    states: list[tuple[int, int] | None] = [None] * len(rows)
-    by_length: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(i)
-    for idx in by_length.values():
-        words = _pool_words(np.array([rows[i] for i in idx], dtype=np.uint32))
-        for i, (s_hi, s_lo, i_hi, i_lo) in zip(idx, words.tolist()):
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            states[i] = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-    return states
-
-
-def _pool_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy row).generate_state(4, uint64) for each row of (n, L) words."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = (h * _MULT_A) & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    n, length = entropy.shape
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    h = _INIT_B
-    out = np.empty((n, 8), dtype=np.uint64)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
-        h = (h * _MULT_B) & _MASK32
-        value = value * np.uint32(h)
-        out[:, i] = value ^ (value >> np.uint32(16))
-    return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
-
-
-def _generators(seeds: Sequence[Seed], spawn_key: tuple[int, ...] = ()):
-    """Yield, per seed, a Generator in the state PCG64(SeedSequence(seed,
-    spawn_key=spawn_key)) starts in.
-
-    One PCG64 is re-stated per seed instead of building a SeedSequence, a
-    PCG64 and a Generator each time, so draw from each yielded generator
-    before taking the next.
-    """
-    bitgen = np.random.PCG64(0)
-    g = np.random.Generator(bitgen)
-    for state, inc in _pcg64_states(seeds, spawn_key):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield g
-
-
-def seeded_draws(
-    seeds: Sequence[Seed], width: int, spawn_key: tuple[int, ...] = (), normal: bool = False
-) -> np.ndarray:
-    """(len(seeds), width) draws; row i is the first width draws of the stream
-    of seeds[i] and spawn_key, uniform on [0, 1) or, with normal, standard normal.
-    """
-    out = np.empty((len(seeds), width))
-    for g, row in zip(_generators(seeds, spawn_key), out):
-        if normal:
-            g.standard_normal(out=row)
-        else:
-            g.random(out=row)
-    return out
-
-
-def _check_seed(seed: Seed) -> Seed:
     entries = seed if isinstance(seed, tuple) else (seed,)
+    if not entries:
+        raise InvalidInputError("seed must not be an empty tuple")
     for s in entries:
         if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
             raise InvalidInputError(f"seed entries must be nonnegative integers, got {seed!r}")
-    return seed
+    if not isinstance(seed, tuple):
+        return (int(seed),), 0
+    if seed[-1] >= 2**64:
+        raise InvalidInputError(f"the last seed entry is a sample index below 2**64, got {seed!r}")
+    return tuple(int(k) for k in seed[:-1]), int(seed[-1])
+
+
+def seeded_draws(
+    key: tuple[int, ...],
+    lo: int,
+    n: int,
+    width: int,
+    spawn_key: tuple[int, ...] = (0,),
+    normal: bool = False,
+    slots: int = 1,
+) -> np.ndarray:
+    """(n, slots * width) draws; row i holds slots 0..slots-1 of row lo + i.
+
+    The stream is Philox keyed by SeedSequence(key, spawn_key=spawn_key).
+    Slot j of row i is the first width outputs from counter
+    i * ceil(width / 4) + j * 2**128: each row owns a fixed-stride window of
+    whole 4-word Philox blocks, so a row never depends on how rows are
+    split into batches, nor a slot on how many slots are drawn.  Draws are
+    uniform on [0, 1) or, with normal, standard normal by Box-Muller, which
+    pairs the two halves of an even width.
+    """
+    state = np.random.SeedSequence(key, spawn_key=spawn_key).generate_state(2, np.uint64)
+    stride = -(-width // 4)
+    out = np.empty((n, slots, width))
+    for j in range(slots):
+        bitgen = np.random.Philox(key=state, counter=lo * stride + (j << 128))
+        out[:, j] = np.random.Generator(bitgen).random((n, 4 * stride))[:, :width]
+    if normal:
+        out = _box_muller(out)
+    return out.reshape(n, slots * width)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals sqrt(-2 log(1 - u1)) (cos, sin)(2 pi u2) from uniforms
+    on [0, 1), with u1 the first and u2 the second half of the last axis."""
+    half = u.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., :half]))
+    angle = 2.0 * np.pi * u[..., half:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
 def _disc(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -340,18 +266,19 @@ def build_batch(r: int, epsilon: float, uniforms: np.ndarray) -> tuple[np.ndarra
 def sample_curvature(r: int, epsilon: float, seed: Seed) -> PointCurvature:
     """Draw one constraint-exact curvature sample, deterministic in seed.
 
-    The seed may be an integer or a tuple of nonnegative integers; sweep
-    drivers use (base_seed, config_index, sample_index) tuples so that any
-    recorded sample can be reconstructed here.  Auxiliary randomness tied to
-    a sample (optimizer starts, test vectors) is derived from the same seed
-    through spawn keys, never from this stream.
+    The seed is an integer or a nonempty tuple of nonnegative integers; a
+    tuple (k..., i) reads row i of the sampler stream (spawn key (0,)) of
+    key (k...), and an integer s reads row 0 of key (s,).  Sweeps record
+    (base_seed, config_index, sample_index), so that sample i of a sweep
+    configuration is rebuilt here bit for bit.  The optimizer starts and test
+    vectors of a sample are rows of streams (1,) and (2,) of the same key.
     """
     if not isinstance(r, (int, np.integer)) or r < 2:
         raise InvalidInputError(f"rank must be an integer >= 2, got {r!r}")
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon}")
-    _check_seed(seed)
-    uniforms = seeded_draws([seed], _coefficient_count(r))
+    key, row = seed_position(seed)
+    uniforms = seeded_draws(key, row, 1, _coefficient_count(r))
     coeff, B = build_batch(int(r), float(epsilon), uniforms)
     return PointCurvature(int(r), coeff[0], float(epsilon), B[0], seed)
 

@@ -23,6 +23,7 @@ from .curvature import (
     PointCurvature,
     batch_lhs_density,
     gap_scale_offset,
+    seed_position,
     seeded_draws,
     validate,
 )
@@ -212,14 +213,15 @@ def basis_and_random_starts(
     M: np.ndarray,
     objective,
     restarts: int,
-    seeds,
+    key: tuple[int, ...],
+    lo: int,
 ) -> np.ndarray:
     """Starting block of shape (n, restarts, r): the best standard basis
     vector per instance first, then restarts-1 random unit vectors.
 
-    seeds is one seed (int or tuple) per instance; random starts come from
-    spawn key (1,) of that seed so they never collide with the draws that
-    built the instance itself.
+    Instance t is row lo + t of key; its random starts come from stream (1,)
+    of the key, so they never collide with the draws that built the
+    instance itself.
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
@@ -230,18 +232,21 @@ def basis_and_random_starts(
     V0 = np.zeros((n, restarts, r), dtype=np.complex128)
     V0[np.arange(n), 0, best] = 1.0
     if restarts > 1:
-        V0[:, 1:] = random_unit_vectors(seeds, restarts - 1, r, (1,))
+        V0[:, 1:] = random_unit_vectors(key, lo, n, restarts - 1, r, (1,))
     return V0
 
 
-def random_unit_vectors(seeds, count: int, r: int, spawn_key: tuple[int, ...]) -> np.ndarray:
-    """count unit vectors in C^r per seed, shape (len(seeds), count, r).
+def random_unit_vectors(
+    key: tuple[int, ...], lo: int, n: int, count: int, r: int, spawn_key: tuple[int, ...]
+) -> np.ndarray:
+    """count unit vectors in C^r for each of rows lo..lo+n-1, shape (n, count, r).
 
-    Row i is drawn from the stream of seeds[i] and spawn_key: 2r standard
-    normals per vector, real parts first, then normalized.
+    Vector j of a row is slot j of the row in the stream of key and
+    spawn_key: 2r standard normals, real parts first, then normalized.  It
+    depends on neither count nor n.
     """
-    z = seeded_draws(seeds, count * 2 * r, spawn_key, normal=True)
-    z = z.reshape(len(seeds), count, 2 * r)
+    z = seeded_draws(key, lo, n, 2 * r, spawn_key, normal=True, slots=count)
+    z = z.reshape(n, count, 2 * r)
     return _normalize(z[..., :r] + 1j * z[..., r:])
 
 
@@ -267,8 +272,8 @@ def _search(pc: PointCurvature, objective, restarts: int, tol: float, iterations
         raise InvalidInputError(f"tol must be positive, got {tol}")
     validate(pc)
     M = form_matrices(pc.coeff)[None]
-    seed = pc.seed if pc.seed is not None else DEFAULT_START_SEED
-    V0 = basis_and_random_starts(M, objective, restarts, [seed])
+    key, row = seed_position(pc.seed if pc.seed is not None else DEFAULT_START_SEED)
+    V0 = basis_and_random_starts(M, objective, restarts, key, row)
     return minimize_on_sphere(M, V0, objective, iterations, tol)
 
 

@@ -5,16 +5,20 @@ gap of the pointwise inequality per sample (random test vectors plus an
 adversarial multi-start search), and the positivity sweep does the same for
 the smallest eigenvalue of the normalized curvature form.
 
-Determinism contract: sample (config_index, sample_index) of a sweep with
-base seed s is built from SeedSequence((s, config_index, sample_index));
-its adversarial starting vectors come from spawn key (1,) of that sequence
-and its random test vectors from spawn key (2,).  Configurations are
-enumerated rank-major over (ranks x epsilons).  Work is split into
-fixed-size batches by sample index, and the batches of all configurations
-run as one job list on one thread pool.  Each batch is a pure function of
-the seed, and after all batches finish the reductions run per
-configuration, in configuration order and then batch order, so results are
-bitwise identical for any thread count.
+Determinism contract: configuration config_index of a sweep with base
+seed s owns three Philox streams keyed by SeedSequence((s, config_index),
+spawn_key=(k,)): stream 0 samples the curvatures, stream 1 gives the
+adversarial starting vectors and stream 2 the random test vectors.  Sample i
+reads row i of each stream, a fixed-stride window that no other sample
+touches (see curvature.seeded_draws), so a batch draws all its samples with
+one generator per stream and vector slot, and a sample never depends on the
+batch it falls in.  Configurations are enumerated rank-major over (ranks x
+epsilons).  Work is split into fixed-size batches by sample index, and the
+batches of all configurations run as one job list on one thread pool.  Each
+batch is a pure function of the seed, and after all batches finish the
+reductions run per configuration, in configuration order and then batch
+order, so results are bitwise identical for any thread count and batch
+size.
 
 A batch whose sampled curvatures break the constraints skips the search,
 and its configuration's reduction raises InconsistentStateError.  The
@@ -118,10 +122,12 @@ class SweepConfig:
 class WorstRecord:
     """The lowest value seen in one configuration, with enough data to replay it.
 
-    seed is the full per-sample seed tuple accepted by sample_curvature; v is
-    the offending vector; source tells whether a random test vector or the
-    adversarial search found it; mode is the sampler mode, which replay_worst
-    needs and reports leave out.
+    seed is (base seed, config index, sample index), which sample_curvature
+    reads as that sample's row of key (base seed, config index), so replaying
+    it rebuilds the sample and the starts of its search; v is the offending
+    vector; source tells whether a random test vector or the adversarial
+    search found it; mode is the sampler mode, which replay_worst needs and
+    reports leave out.
     """
 
     rank: int
@@ -175,13 +181,13 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     numbers that break the constraints.
     """
     n = hi - lo
-    seeds = [(cfg.seed, ci, lo + i) for i in range(n)]
+    key = (cfg.seed, ci)
     if cfg.mode == "projectively-flat":
         pf = projectively_flat(r)
         coeff = np.broadcast_to(pf.coeff, (n, r, r, 2, 2))
         B = np.broadcast_to(pf.B, (n, r, r))
     else:
-        coeff, B = build_batch(r, epsilon, seeded_draws(seeds, _coefficient_count(r)))
+        coeff, B = build_batch(r, epsilon, seeded_draws(key, lo, n, _coefficient_count(r)))
     residual_max = _batch_residuals(coeff, B, epsilon)
     if violations(residual_max):
         return np.full(n, np.nan), None, residual_max, 0
@@ -192,12 +198,12 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         scale, offsets = gap_scale_offset(r, epsilon, batch_lhs_density(coeff))
     else:
         objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
-    V0 = basis_and_random_starts(M, objective, cfg.restarts, seeds)
+    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
     V, f, converged = minimize_on_sphere(M, V0, objective, cfg.iterations, cfg.tol)
     if cfg.random_vectors > 0:
         # the random test vectors go first, so that a value of the search
         # counts only where it is lower
-        screen = random_unit_vectors(seeds, cfg.random_vectors, r, (2,))
+        screen = random_unit_vectors(key, lo, n, cfg.random_vectors, r, (2,))
         V = np.concatenate([screen, V], axis=1)
         f = np.concatenate([objective_values(M, screen, objective), f], axis=1)
     values = scale * f + offsets[:, None]

@@ -3,7 +3,7 @@ import pytest
 
 from ample.curvature import (
     PointCurvature,
-    _generators,
+    _box_muller,
     batch_lhs_density,
     build_batch,
     c2_density_pairwise,
@@ -17,15 +17,25 @@ from ample.curvature import (
     projectively_flat,
     residuals,
     sample_curvature,
+    seeded_draws,
     unitary_conjugate,
     validate,
     wedge_density,
 )
 from ample.errors import InconsistentStateError, InvalidInputError
+from ample.spheremin import random_unit_vectors
 
 
 def as_form(rows):
     return np.array(rows, dtype=np.complex128)
+
+
+def philox_uniforms(key, row, width, spawn_key=(0,), slot=0):
+    # the stream contract, written out against numpy's Philox directly:
+    # slot `slot` of row `row` starts at counter row * ceil(width / 4) + slot * 2**128
+    state = np.random.SeedSequence(key, spawn_key=spawn_key).generate_state(2, np.uint64)
+    counter = row * -(-width // 4) + slot * 2**128
+    return np.random.Generator(np.random.Philox(key=state, counter=counter)).random(width)
 
 
 def random_unitary(rng, r):
@@ -94,41 +104,81 @@ def test_sampling_is_reproducible():
     assert np.array_equal(a.coeff, b.coeff)
     assert np.array_equal(a.B, b.B)
     assert not np.array_equal(a.coeff, c.coeff)
+    # an integer seed s is row 0 of key (s,)
+    assert np.array_equal(sample_curvature(4, 0.1, 7).coeff, sample_curvature(4, 0.1, (7, 0)).coeff)
 
 
 def test_batch_agrees_with_scalar_sampling():
     r, eps = 3, 0.1
     m = 4 * r * r - 3
-    seeds = [(9, i) for i in range(6)]
-    uniforms = np.empty((len(seeds), m))
-    for i, seed in enumerate(seeds):
-        uniforms[i] = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed))
-        ).random(m)
+    uniforms = np.array([philox_uniforms((9,), i, m) for i in range(6)])
     coeff, B = build_batch(r, eps, uniforms)
-    for i, seed in enumerate(seeds):
-        pc = sample_curvature(r, eps, seed)
+    for i in range(6):
+        pc = sample_curvature(r, eps, (9, i))
         assert np.array_equal(coeff[i], pc.coeff)
         assert np.array_equal(B[i], pc.B)
 
 
-def test_batched_seeding_matches_numpy_seed_sequence():
-    # the batched derivation must give the very streams that
-    # PCG64(SeedSequence(seed, spawn_key)) gives, for every seed shape the
-    # sweeps and the scalar API use, including entries wider than 32 bits
-    seeds = [(0, 3, i) for i in range(50)] + [
-        0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1, (5,), (2**33, 1), (1, 2, 3, 4, 5, 6), ((1, 2), 3),
-    ]
-    for spawn_key in ((), (1,), (2,), (3, 4)):
-        for seed, g in zip(seeds, _generators(seeds, spawn_key)):
-            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
-            assert np.array_equal(g.random(5), ref.random(5))
-            assert np.array_equal(g.standard_normal(3), ref.standard_normal(3))
+def test_seeded_draws_match_a_philox_oracle():
+    # rows, slots and streams as the contract defines them, for keys of one
+    # and two entries, entries wider than 32 bits and rows far from 0
+    for key in ((0, 3), (7,), (2**40 + 5, 1), (1, 2, 3, 4, 5)):
+        for spawn_key in ((0,), (1,), (2,)):
+            for lo, width, slots in ((0, 13, 1), (5, 33, 1), (2**40, 6, 3)):
+                got = seeded_draws(key, lo, 4, width, spawn_key, slots=slots)
+                want = [
+                    np.concatenate([philox_uniforms(key, lo + i, width, spawn_key, j) for j in range(slots)])
+                    for i in range(4)
+                ]
+                assert np.array_equal(got, np.array(want))
+    u = philox_uniforms((3, 1), 2, 8, (2,))
+    normals = seeded_draws((3, 1), 2, 1, 8, (2,), normal=True)[0]
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:4]))
+    want = np.concatenate([radius * np.cos(2 * np.pi * u[4:]), radius * np.sin(2 * np.pi * u[4:])])
+    assert normals == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("width", [13, 33])
+def test_rows_do_not_depend_on_the_batch_split(width):
+    # 13 and 33 are the sampler widths 4r^2 - 3 at ranks 2 and 3, neither a
+    # multiple of the 4 words of a Philox block
+    whole = seeded_draws((4, 1), 0, 20, width)
+    parts = [seeded_draws((4, 1), lo, hi - lo, width) for lo, hi in ((0, 1), (1, 8), (8, 20))]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(seeded_draws((4, 1), 13, 1, width)[0], whole[13])
+
+
+def test_unit_vectors_do_not_depend_on_their_count():
+    for r in (2, 3, 5):
+        many = random_unit_vectors((6, 0), 10, 9, 7, r, (1,))
+        few = random_unit_vectors((6, 0), 12, 3, 2, r, (1,))
+        assert np.array_equal(many[2:5, :2], few)
+        assert np.abs(np.linalg.norm(many, axis=-1) - 1.0).max() <= 1e-15
+
+
+def test_streams_and_configurations_draw_differently():
+    draws = [seeded_draws((0, ci), 0, 8, 13, (k,)) for ci in (0, 1) for k in (0, 1, 2)]
+    for a in range(len(draws)):
+        for b in range(a):
+            assert not np.isin(draws[a], draws[b]).any()
+
+
+def test_box_muller_maps_the_ends_of_the_unit_interval_to_finite_normals():
+    top = 1.0 - 2.0**-53
+    z = _box_muller(np.array([[0.0, 0.0], [0.0, 0.25], [top, 0.0], [top, 0.5]]))
+    assert np.isfinite(z).all()
+    assert np.array_equal(z[:2], np.zeros((2, 2)))
+    assert z[2, 0] == pytest.approx(np.sqrt(2 * 53 * np.log(2)), rel=1e-12)
+    assert z[3, 0] == pytest.approx(-z[2, 0], rel=1e-12)
 
 
 def test_seed_validation():
     with pytest.raises(InvalidInputError):
         sample_curvature(3, 0.0, -1)
+    with pytest.raises(InvalidInputError):
+        sample_curvature(3, 0.0, ())
+    with pytest.raises(InvalidInputError):
+        sample_curvature(3, 0.0, (0, 2**64))
     with pytest.raises(InvalidInputError):
         sample_curvature(3, 0.0, (2, -5))
     with pytest.raises(InvalidInputError):
@@ -247,17 +297,11 @@ def test_c2_trace_form_matches_pairwise_form():
 
 def test_batch_lhs_matches_scalar_lhs():
     r, eps = 4, 0.05
-    seeds = [(8, i) for i in range(5)]
     m = 4 * r * r - 3
-    uniforms = np.empty((len(seeds), m))
-    for i, seed in enumerate(seeds):
-        uniforms[i] = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed))
-        ).random(m)
-    coeff, _ = build_batch(r, eps, uniforms)
+    coeff, _ = build_batch(r, eps, np.array([philox_uniforms((8,), i, m) for i in range(5)]))
     batch = batch_lhs_density(coeff)
-    for i, seed in enumerate(seeds):
-        assert batch[i] == pytest.approx(lhs_density(sample_curvature(r, eps, seed)), abs=1e-12)
+    for i in range(5):
+        assert batch[i] == pytest.approx(lhs_density(sample_curvature(r, eps, (8, i))), abs=1e-12)
 
 
 def test_error_term_constants():

@@ -87,7 +87,7 @@ def test_batched_descent_matches_each_instance_alone():
     for r, objective in ((2, det_objective), (3, det_objective), (3, lmin_objective)):
         pcs = [sample_curvature(r, 0.1, (4, r, i)) for i in range(24)]
         M = form_matrices(np.stack([pc.coeff for pc in pcs]))
-        V0 = basis_and_random_starts(M, objective, 4, [pc.seed for pc in pcs])
+        V0 = basis_and_random_starts(M, objective, 4, (4, r), 0)
         V, f, converged = minimize_on_sphere(M, V0, objective, iterations=300, tol=1e-6)
         assert converged.mean() >= 0.75
         for i, pc in enumerate(pcs):
@@ -106,7 +106,7 @@ def test_chunked_descent_matches_other_splits_of_the_instances():
     n = DESCENT_CHUNK + 100
     uniforms = np.random.default_rng(8).random((n, 4 * r * r - 3))
     M = form_matrices(build_batch(r, 0.1, uniforms)[0])
-    V0 = basis_and_random_starts(M, det_objective, 3, [(8, i) for i in range(n)])
+    V0 = basis_and_random_starts(M, det_objective, 3, (8,), 0)
     V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=40, tol=1e-6)
     for lo, hi in ((0, 250), (250, n)):
         Vp, fp, cp = minimize_on_sphere(M[lo:hi], V0[lo:hi], det_objective, iterations=40, tol=1e-6)
@@ -174,7 +174,7 @@ def test_restart_validation():
 def test_basis_start_is_best_basis_vector():
     pc = sample_curvature(4, 0.1, 77)
     M = form_matrices(pc.coeff)[None]
-    V0 = basis_and_random_starts(M, det_objective, 3, [pc.seed])
+    V0 = basis_and_random_starts(M, det_objective, 3, (77,), 0)
     basis_vals = [
         np.linalg.det(normalized_q(pc, np.eye(4)[i])).real for i in range(4)
     ]

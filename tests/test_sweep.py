@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ample import spheremin
+from ample import sweep as sweep_module
 from ample.config import config_from_mapping
 from ample.curvature import pointwise_gap
 from ample.errors import ConfigError, InconsistentStateError, InvalidInputError
@@ -55,11 +57,38 @@ def test_sweep_is_reproducible():
 
 
 def test_sweep_independent_of_thread_count_and_batch_size():
-    base = run_gap_sweep(SMALL)
-    threaded = run_gap_sweep(replace(SMALL, threads=4))
-    rebatched = run_gap_sweep(replace(SMALL, batch_size=7))
-    assert threaded == base
-    assert rebatched == base
+    # 13 splits the 40 samples into 4 uneven batches at offsets that are not
+    # multiples of the 4 words of a Philox block
+    for sweep in (run_gap_sweep, run_griffiths_sweep):
+        base = sweep(SMALL)
+        for changes in ({"threads": 4}, {"batch_size": 1}, {"batch_size": 7}, {"batch_size": 13, "threads": 3}):
+            assert sweep(replace(SMALL, **changes)) == base, changes
+
+
+def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
+    # the batches descend through sweep's minimize_on_sphere and the polish
+    # through spheremin's; record the starting block of each call
+    batch_starts, polish_starts = [], []
+
+    def recording(starts, descend):
+        def wrapped(M, V0, *args, **kwargs):
+            starts.append(np.array(V0))
+            return descend(M, V0, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording(batch_starts, sweep_module.minimize_on_sphere))
+    monkeypatch.setattr(spheremin, "minimize_on_sphere", recording(polish_starts, spheremin.minimize_on_sphere))
+    cfg = replace(SMALL, batch_size=16)
+    res = run_gap_sweep(cfg)
+    per_config = 3  # batches of 16, 16 and 8 samples, run in job order on one thread
+    assert len(batch_starts) == per_config * len(res.results)
+    assert len(polish_starts) == len(res.results)
+    for ci, c in enumerate(res.results):
+        seed, config_index, i = c.worst.seed
+        assert (seed, config_index) == (cfg.seed, ci)
+        batch = batch_starts[ci * per_config + i // cfg.batch_size]
+        assert np.array_equal(polish_starts[ci][0], batch[i % cfg.batch_size])
 
 
 def test_worst_record_replays_to_the_recorded_value():
