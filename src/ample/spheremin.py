@@ -7,10 +7,11 @@ forms, invariant under scaling of v, so the sphere is the natural domain and
 a retracted gradient step with per-row Armijo backtracking is enough; no
 general-purpose optimizer dependency is warranted for an r <= 10 problem.
 
-Everything here is batched: an instance axis n and a start axis S are carried
-through all operations, one row per (sample, start) pair, and rows never
-interact.  That makes sweep results independent of how batches are scheduled
-and makes more restarts a strict superset of fewer.
+Everything here is batched over n instances with S starts each, one row per
+(instance, start) pair, and rows never interact.  Blocks come in and go out
+as (n, S, ...) arrays; the descent carries each pair as a row of its own.
+That makes sweep results independent of how batches are scheduled and makes
+more restarts a strict superset of fewer.
 """
 
 from __future__ import annotations
@@ -108,16 +109,9 @@ def _instance_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
 
 
-def _take_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Rows keep (flat indices over the first two axes) of a as a (k, 1, ...) array."""
-    return _instance_last(a.reshape(-1, *a.shape[2:])[keep][:, None])
-
-
-def _put_rows(V_all: np.ndarray, f_all: np.ndarray, rows: np.ndarray, V: np.ndarray, f: np.ndarray):
-    """Write compacted (k, 1, ...) rows back to their flat indices rows of the full arrays."""
-    inst, start = np.divmod(rows, V_all.shape[1])
-    V_all[inst, start] = V[:, 0]
-    f_all[inst, start] = f[:, 0]
+def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a along axis 0, gathered in one copy with that axis innermost."""
+    return np.moveaxis(np.take(np.moveaxis(a, 0, -1), idx, axis=-1), -1, 0)
 
 
 def _normalize(V: np.ndarray) -> np.ndarray:
@@ -132,16 +126,18 @@ def minimize_on_sphere(
     iterations: int = 100,
     tol: float = 1e-8,
 ):
-    """Monotone retracted-gradient descent, row by row.
+    """Monotone retracted-gradient descent, one row per (instance, start) pair.
 
-    Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S).  A row is
-    converged when its tangent gradient norm falls below tol or its step
-    size collapses; rows that hit the iteration cap keep converged = False.
-    Accepted steps only ever decrease f, so the final f never exceeds the
-    value at the corresponding start.
+    M holds the form matrices of n instances, V0 their S starts each, shape
+    (n, S, r).  Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S),
+    with V normalized.  A row is converged when its tangent gradient norm
+    falls below tol or its step size collapses; rows that hit the iteration
+    cap keep converged = False.  Accepted steps only ever decrease f, so the
+    final f never exceeds the value at the corresponding start.
 
     Rows never interact, so instances are descended DESCENT_CHUNK at a time,
-    which keeps each step's arrays in cache, without changing any value.
+    which keeps each step's arrays in cache, and stopped rows are dropped on
+    the way; neither changes any value.
     """
     V0 = np.asarray(V0, dtype=np.complex128)
     n = V0.shape[0]
@@ -159,21 +155,24 @@ def minimize_on_sphere(
 def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: float):
     """minimize_on_sphere on one chunk of instances.
 
+    Every (instance, start) pair is carried from the first step as a (1, r)
+    row of its own, with its own copy of M, row axis innermost in memory.
     A stopped row never moves again, so once at most half of the carried
-    rows are still active the stopped ones are written out and dropped, and
-    the active ones go on as (k, 1) rows with their M gathered per row.
+    rows are still active, the carried rows are written out and only the
+    active ones go on, gathered by _take.  What is still carried at the end
+    is written out then.
     """
-    V = _normalize(_instance_last(V0))
-    n, S, _ = V.shape
-    M = _instance_last(M)
+    n, S, r = V0.shape
+    rows = np.arange(n * S)  # flat (instance, start) index of each carried row
+    M = _take(M, rows // S)
+    V = _normalize(_instance_last(V0.reshape(-1, 1, r)))
     Mv = _mv(M, V)
     f, grad = objective(V, Mv, _q(V, Mv))
-    # the full arrays are updated in place until the first compaction and
-    # take the carried rows back at each later one and at the end
-    V_all, f_all = V, f
-    rows = None  # flat (instance, start) index of each carried row, once compacted
-    eta = np.full((S, n), ETA0).T
-    active = np.ones((S, n), dtype=bool).T
+    V_all = np.empty((n * S, r), dtype=np.complex128)
+    f_all = np.empty(n * S)
+    converged = np.ones(n * S, dtype=bool)
+    eta = np.full((n * S, 1), ETA0)
+    active = np.ones((n * S, 1), dtype=bool)
     for _ in range(iterations):
         radial = np.einsum("nsi,nsi->ns", np.conj(V), grad)
         tan = grad - radial[..., None] * V
@@ -184,14 +183,10 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
         if keep.size == 0:
             break
         if keep.size <= active.size // 2:
-            if rows is None:
-                rows = keep
-            else:
-                _put_rows(V_all, f_all, rows, V, f)
-                rows = rows[keep]
-            M = _instance_last(M[keep // active.shape[1]])
-            V, f, grad, tan, gnorm2, eta, active = (
-                _take_rows(a, keep) for a in (V, f, grad, tan, gnorm2, eta, active)
+            V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
+            rows = rows[keep]
+            M, V, f, grad, tan, gnorm2, eta, active = (
+                _take(a, keep) for a in (M, V, f, grad, tan, gnorm2, eta, active)
             )
         W = _normalize(V - eta[..., None] * tan)
         Mw = _mv(M, W)
@@ -201,12 +196,9 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
         np.copyto(f, fw, where=accept)
         np.copyto(grad, gradw, where=accept[..., None])
         eta = np.where(accept, np.minimum(eta * 1.5, ETA_MAX), np.where(active, eta * 0.5, eta))
-    if rows is None:
-        return V_all, f_all, ~active
-    _put_rows(V_all, f_all, rows, V, f)
-    converged = np.ones((n, S), dtype=bool)
-    converged.reshape(-1)[rows] = ~active.reshape(-1)
-    return V_all, f_all, converged
+    V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
+    converged[rows] = ~active[:, 0]
+    return V_all.reshape(n, S, r), f_all.reshape(n, S), converged.reshape(n, S)
 
 
 def basis_and_random_starts(

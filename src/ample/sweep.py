@@ -200,12 +200,11 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
     V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
     V, f, converged = minimize_on_sphere(M, V0, objective, cfg.iterations, cfg.tol)
-    if cfg.random_vectors > 0:
-        # the random test vectors go first, so that a value of the search
-        # counts only where it is lower
-        screen = random_unit_vectors(key, lo, n, cfg.random_vectors, r, (2,))
-        V = np.concatenate([screen, V], axis=1)
-        f = np.concatenate([objective_values(M, screen, objective), f], axis=1)
+    # the random test vectors go first, so that a value of the search counts
+    # only where it is lower
+    screen = random_unit_vectors(key, lo, n, cfg.random_vectors, r, (2,))
+    V = np.concatenate([screen, V], axis=1)
+    f = np.concatenate([objective_values(M, screen, objective), f], axis=1)
     values = scale * f + offsets[:, None]
     idx = np.argmin(values, axis=1)
     values = values[np.arange(n), idx]
@@ -308,11 +307,12 @@ def run_griffiths_sweep(cfg: SweepConfig) -> SweepResult:
 def replay_worst(record: WorstRecord) -> PointCurvature:
     """Reconstruct the curvature behind a worst record.
 
-    A projectively-flat record replays to projectively_flat(rank), any other
-    to the public sampler at its seed.
+    A projectively-flat record replays to projectively_flat(rank) carrying
+    the record's seed, any other to the public sampler at its seed; either
+    way a search of the replay starts where the batch's search did.
     """
     if record.mode == "projectively-flat":
-        return projectively_flat(record.rank)
+        return replace(projectively_flat(record.rank), seed=record.seed)
     return sample_curvature(record.rank, record.epsilon, record.seed)
 
 

@@ -3,15 +3,20 @@ module defines is used somewhere else.
 
 Stands in for a linter's unused-import and dead-code rules.  The package
 __init__ is exempt from the first: its imports are the public re-exports.
+Also checks that every module attribute the benchmark's tracer wraps
+(perfbench/tracing.py, loaded read-only) still exists.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import ample
 
 PACKAGE = Path(ample.__file__).parent
 TESTS = Path(__file__).parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -74,3 +79,21 @@ def test_every_module_level_name_is_referenced():
         if not any(name in r for key, r in refs.items() if key != (path, i))
     ]
     assert unused == []
+
+
+def test_every_traced_call_site_exists(monkeypatch):
+    # the benchmark's tracer wraps module attributes that callers look up
+    # at call time; a name moved out of its module would leave its layer
+    # silently at 0, so every target must still resolve to a callable
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks it up
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

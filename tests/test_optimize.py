@@ -115,6 +115,41 @@ def test_chunked_descent_matches_other_splits_of_the_instances():
         assert np.array_equal(converged[lo:hi], cp)
 
 
+def test_zero_iterations_return_the_normalized_starts():
+    # the loop never runs, so the final write-back is the only write; the
+    # starts are scaled off the sphere so that they differ from the result
+    pcs = [sample_curvature(3, 0.1, (9, i)) for i in range(5)]
+    M = form_matrices(np.stack([pc.coeff for pc in pcs]))
+    V0 = 2.5 * basis_and_random_starts(M, det_objective, 4, (9,), 0)
+    V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=0)
+    starts = V0 / np.linalg.norm(V0, axis=-1, keepdims=True)
+    assert np.allclose(V, starts, rtol=0.0, atol=1e-15)
+    assert np.allclose(f, objective_values(M, starts, det_objective), rtol=1e-14, atol=0.0)
+    assert not converged.any()
+
+
+def test_projectively_flat_batch_stops_at_the_first_check():
+    # the flat form's det is constant on the sphere, so every row stops
+    # before its first step and the final write-back is the only write
+    r = 4
+    pf = projectively_flat(r)
+    n = 6
+    M = form_matrices(np.broadcast_to(pf.coeff, (n, r, r, 2, 2)))
+    V0 = 3.0 * basis_and_random_starts(M, det_objective, 3, (12,), 0)
+    V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=50, tol=1e-6)
+    assert converged.all()
+    starts = V0 / np.linalg.norm(V0, axis=-1, keepdims=True)
+    assert np.allclose(V, starts, rtol=0.0, atol=1e-15)
+    assert np.allclose(f, objective_values(M, starts, det_objective), rtol=1e-14, atol=0.0)
+    for i in range(n):
+        Vi, fi, ci = minimize_on_sphere(
+            form_matrices(pf.coeff)[None], V0[i : i + 1], det_objective, iterations=50, tol=1e-6
+        )
+        assert np.array_equal(V[i], Vi[0])
+        assert np.array_equal(f[i], fi[0])
+        assert np.array_equal(converged[i], ci[0])
+
+
 def test_reported_gap_matches_direct_evaluation_at_reported_vector():
     for r in (2, 3, 5):
         pc = sample_curvature(r, 0.1, (13, r))

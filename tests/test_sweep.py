@@ -79,16 +79,21 @@ def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording(batch_starts, sweep_module.minimize_on_sphere))
     monkeypatch.setattr(spheremin, "minimize_on_sphere", recording(polish_starts, spheremin.minimize_on_sphere))
-    cfg = replace(SMALL, batch_size=16)
-    res = run_gap_sweep(cfg)
-    per_config = 3  # batches of 16, 16 and 8 samples, run in job order on one thread
-    assert len(batch_starts) == per_config * len(res.results)
-    assert len(polish_starts) == len(res.results)
-    for ci, c in enumerate(res.results):
-        seed, config_index, i = c.worst.seed
-        assert (seed, config_index) == (cfg.seed, ci)
-        batch = batch_starts[ci * per_config + i // cfg.batch_size]
-        assert np.array_equal(polish_starts[ci][0], batch[i % cfg.batch_size])
+    # random mode: batches of 16, 16 and 8 samples; projectively-flat mode:
+    # one sample per configuration, whose random starts must still be the
+    # batch's and not the default ones
+    for mode, per_config in (("random", 3), ("projectively-flat", 1)):
+        batch_starts.clear()
+        polish_starts.clear()
+        cfg = replace(SMALL, batch_size=16, mode=mode)
+        res = run_gap_sweep(cfg)  # jobs run in job order on one thread
+        assert len(batch_starts) == per_config * len(res.results)
+        assert len(polish_starts) == len(res.results)
+        for ci, c in enumerate(res.results):
+            seed, config_index, i = c.worst.seed
+            assert (seed, config_index) == (cfg.seed, ci)
+            batch = batch_starts[ci * per_config + i // cfg.batch_size]
+            assert np.array_equal(polish_starts[ci][0], batch[i % cfg.batch_size]), mode
 
 
 def test_worst_record_replays_to_the_recorded_value():
