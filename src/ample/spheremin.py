@@ -4,7 +4,9 @@ Used adversarially: the inequality checker minimizes the gap over the unit
 sphere, and the positivity checker minimizes the smallest eigenvalue of the
 normalized curvature form.  Both objectives are smooth ratios of quadratic
 forms, invariant under scaling of v, so the sphere is the natural domain and
-a retracted gradient step with per-row Armijo backtracking is enough; no
+a retracted gradient step is enough: its length is the Barzilai-Borwein step
+of the last accepted move (Barzilai & Borwein 1988; Wen & Yin 2013 for
+spheres), halved on each step that fails a per-row Armijo test.  No
 general-purpose optimizer dependency is warranted for an r <= 10 problem.
 
 Everything here is batched over n instances with S starts each, one row per
@@ -16,6 +18,7 @@ more restarts a strict superset of fewer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +117,19 @@ def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.take(np.moveaxis(a, 0, -1), idx, axis=-1), -1, 0)
 
 
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re<a, b> per row of two (n, S, r) blocks."""
+    return np.einsum("nsi,nsi->ns", np.conj(A), B).real
+
+
+def _tangent(V: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The part of grad tangent to the sphere at the unit rows V."""
+    radial = np.einsum("nsi,nsi->ns", np.conj(V), grad)
+    return grad - radial[..., None] * V
+
+
 def _normalize(V: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("nsi,nsi->ns", np.conj(V), V).real)
-    return V / norms[..., None]
+    return V / np.sqrt(_dot(V, V))[..., None]
 
 
 def minimize_on_sphere(
@@ -130,9 +143,14 @@ def minimize_on_sphere(
 
     M holds the form matrices of n instances, V0 their S starts each, shape
     (n, S, r).  Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S),
-    with V normalized.  A row is converged when its tangent gradient norm
-    falls below tol or its step size collapses; rows that hit the iteration
-    cap keep converged = False.  Accepted steps only ever decrease f, so the
+    with V normalized.  Each iteration tries one step of length eta along
+    the tangent gradient, retracted to the sphere, and accepts it under the
+    Armijo test.  A rejected step halves eta; after an accepted move s, with
+    y the change of the tangent gradient, eta becomes the Barzilai-Borwein
+    step <s, s>/Re<s, y>, clipped to [ETA_MIN, ETA_MAX], and ETA_MAX where
+    Re<s, y> <= 0.  A row is converged when its tangent gradient norm falls
+    below tol or its step size collapses; rows that hit the iteration cap
+    keep converged = False.  Accepted steps only ever decrease f, so the
     final f never exceeds the value at the corresponding start.
 
     Rows never interact, so instances are descended DESCENT_CHUNK at a time,
@@ -157,10 +175,12 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
 
     Every (instance, start) pair is carried from the first step as a (1, r)
     row of its own, with its own copy of M, row axis innermost in memory.
-    A stopped row never moves again, so once at most half of the carried
-    rows are still active, the carried rows are written out and only the
-    active ones go on, gathered by _take.  What is still carried at the end
-    is written out then.
+    Its tangent gradient is row state: computed once at each trial point,
+    it serves the stopping test, the next step and the Barzilai-Borwein
+    step.  A stopped row never moves again, so once at most half of the
+    carried rows are still active, the carried rows are written out and only
+    the active ones go on, gathered by _take.  What is still carried at the
+    end is written out then.
     """
     n, S, r = V0.shape
     rows = np.arange(n * S)  # flat (instance, start) index of each carried row
@@ -168,15 +188,14 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     V = _normalize(_instance_last(V0.reshape(-1, 1, r)))
     Mv = _mv(M, V)
     f, grad = objective(V, Mv, _q(V, Mv))
+    tan = _tangent(V, grad)
     V_all = np.empty((n * S, r), dtype=np.complex128)
     f_all = np.empty(n * S)
     converged = np.ones(n * S, dtype=bool)
     eta = np.full((n * S, 1), ETA0)
     active = np.ones((n * S, 1), dtype=bool)
     for _ in range(iterations):
-        radial = np.einsum("nsi,nsi->ns", np.conj(V), grad)
-        tan = grad - radial[..., None] * V
-        gnorm2 = np.einsum("nsi,nsi->ns", np.conj(tan), tan).real
+        gnorm2 = _dot(tan, tan)
         active &= np.sqrt(gnorm2) > tol
         active &= eta > ETA_MIN
         keep = np.flatnonzero(active)
@@ -185,17 +204,25 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
         if keep.size <= active.size // 2:
             V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
             rows = rows[keep]
-            M, V, f, grad, tan, gnorm2, eta, active = (
-                _take(a, keep) for a in (M, V, f, grad, tan, gnorm2, eta, active)
+            M, V, f, tan, gnorm2, eta, active = (
+                _take(a, keep) for a in (M, V, f, tan, gnorm2, eta, active)
             )
         W = _normalize(V - eta[..., None] * tan)
         Mw = _mv(M, W)
         fw, gradw = objective(W, Mw, _q(W, Mw))
+        tanw = _tangent(W, gradw)
         accept = active & (fw <= f - ARMIJO_C * eta * gnorm2)
+        # Barzilai-Borwein step <s, s>/Re<s, y> for the move s and the change
+        # y of the tangent gradient; ETA_MAX where Re<s, y> <= 0 or the step
+        # would exceed it, so that no row divides by zero or overflows
+        s = W - V
+        ss, sy = _dot(s, s), _dot(s, tanw - tan)
+        bounded = ss < ETA_MAX * sy
+        bb = np.where(bounded, np.maximum(ss / np.where(bounded, sy, 1.0), ETA_MIN), ETA_MAX)
         np.copyto(V, W, where=accept[..., None])
         np.copyto(f, fw, where=accept)
-        np.copyto(grad, gradw, where=accept[..., None])
-        eta = np.where(accept, np.minimum(eta * 1.5, ETA_MAX), np.where(active, eta * 0.5, eta))
+        np.copyto(tan, tanw, where=accept[..., None])
+        eta = np.where(accept, bb, np.where(active, eta * 0.5, eta))
     V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
     converged[rows] = ~active[:, 0]
     return V_all.reshape(n, S, r), f_all.reshape(n, S), converged.reshape(n, S)
@@ -254,40 +281,59 @@ class MinGapResult:
 DEFAULT_START_SEED = 1815
 
 
-def _search(pc: PointCurvature, objective, restarts: int, tol: float, iterations: int):
-    """Validated multi-start search on one instance; (V, f, converged) with n = 1.
+def _search(pcs: list[PointCurvature], objective, restarts: int, tol: float, iterations: int):
+    """Validated multi-start search on instances of one rank; (V, f, converged)
+    with one row per instance.
 
-    Starts are deterministic given pc.seed; instances built without a seed
-    share a fixed default.
+    Each instance starts where a search of its own would: the starts are
+    deterministic given its seed, and instances built without a seed share
+    a fixed default.  Rows never interact, so each row also ends with the
+    bits of a search of its own.
     """
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    validate(pc)
-    M = form_matrices(pc.coeff)[None]
-    key, row = seed_position(pc.seed if pc.seed is not None else DEFAULT_START_SEED)
-    V0 = basis_and_random_starts(M, objective, restarts, key, row)
+    if len({pc.rank for pc in pcs}) != 1:
+        raise InvalidInputError("a batched search needs instances of one rank")
+    for pc in pcs:
+        validate(pc)
+    M = form_matrices(np.stack([pc.coeff for pc in pcs]))
+    V0 = np.concatenate([
+        basis_and_random_starts(
+            M[j : j + 1],
+            objective,
+            restarts,
+            *seed_position(pc.seed if pc.seed is not None else DEFAULT_START_SEED),
+        )
+        for j, pc in enumerate(pcs)
+    ])
     return minimize_on_sphere(M, V0, objective, iterations, tol)
 
 
 def min_gap_over_v(
-    pc: PointCurvature,
+    pc: PointCurvature | Sequence[PointCurvature],
     restarts: int = 5,
     tol: float = 1e-8,
     iterations: int = 100,
-) -> MinGapResult:
+) -> MinGapResult | tuple[MinGapResult, ...]:
     """Adversarial minimum of the inequality gap over unit vectors.
 
     The gap is an affine function of det of the normalized form, so the
     search minimizes the det and the result is mapped back.  Deterministic
     given pc.seed and the restart count; more restarts can only lower the
-    result.
+    result.  A sequence of curvatures of one rank is searched in one
+    batched descent and gives a tuple of results, each equal to the result
+    for its curvature alone.
     """
-    V, f, converged = _search(pc, det_objective, restarts, tol, iterations)
-    best = int(np.argmin(f[0]))
-    scale, offset = gap_scale_offset(pc.rank, pc.epsilon, batch_lhs_density(pc.coeff[None])[0])
-    gap = float(scale * float(f[0, best]) + offset)
-    v = tuple(complex(x) for x in V[0, best])
-    return MinGapResult(v, gap, bool(converged[0, best]))
+    pcs = [pc] if isinstance(pc, PointCurvature) else list(pc)
+    V, f, converged = _search(pcs, det_objective, restarts, tol, iterations)
+    results = []
+    for j, p in enumerate(pcs):
+        best = int(np.argmin(f[j]))
+        scale, offset = gap_scale_offset(p.rank, p.epsilon, batch_lhs_density(p.coeff[None])[0])
+        gap = float(scale * float(f[j, best]) + offset)
+        v = tuple(complex(x) for x in V[j, best])
+        results.append(MinGapResult(v, gap, bool(converged[j, best])))
+    return results[0] if isinstance(pc, PointCurvature) else tuple(results)
 
 
 def griffiths_min(
@@ -302,5 +348,5 @@ def griffiths_min(
     the point, up to the confidence of the multi-start search; the
     projectively flat point returns exactly 1/r.
     """
-    _, f, _ = _search(pc, lmin_objective, restarts, tol, iterations)
+    _, f, _ = _search([pc], lmin_objective, restarts, tol, iterations)
     return float(f[0].min())

@@ -24,7 +24,7 @@ A batch whose sampled curvatures break the constraints skips the search,
 and its configuration's reduction raises InconsistentStateError.  The
 worst record of each configuration replays through replay_worst, in the
 random and the projectively-flat mode alike, and the polish of a gap
-sweep's worst sample searches that replay.
+sweep's worst samples searches those replays, one batched search per rank.
 """
 
 from __future__ import annotations
@@ -214,18 +214,26 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     return values, minimum, residual_max, int(converged.all(axis=1).sum())
 
 
-def _polish(cfg: SweepConfig, worst: WorstRecord) -> WorstRecord:
-    """Refine the worst record of a gap sweep on its replayed curvature.
+def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]:
+    """Refine the worst records of a gap sweep on their replayed curvatures.
 
-    Runs a longer adversarial search from the same deterministic starts; the
-    polished value can only be equal or lower since the search extends the
-    recorded one.  Eigenvalue sweeps are not polished, so their record keeps
-    the value-at-v pairing intact.
+    Runs a longer adversarial search from the same deterministic starts, one
+    batched search per rank over the records of that rank; each record gets
+    the bits of a search of its own.  A polished value can only be equal or
+    lower since the search extends the recorded one.  Eigenvalue sweeps are
+    not polished, so their record keeps the value-at-v pairing intact.
     """
-    refined = min_gap_over_v(replay_worst(worst), restarts=cfg.restarts, tol=1e-8, iterations=400)
-    if refined.gap < worst.value:
-        return replace(worst, value=refined.gap, v=tuple(refined.v), source=ADVERSARIAL_SOURCE)
-    return worst
+    results = list(results)
+    for r in dict.fromkeys(c.rank for c in results):
+        idx = [k for k, c in enumerate(results) if c.rank == r]
+        pcs = [replay_worst(results[k].worst) for k in idx]
+        refined = min_gap_over_v(pcs, restarts=cfg.restarts, tol=1e-8, iterations=400)
+        for k, found in zip(idx, refined):
+            c = results[k]
+            if found.gap < c.worst.value:
+                worst = replace(c.worst, value=found.gap, v=found.v, source=ADVERSARIAL_SOURCE)
+                results[k] = replace(c, worst=worst, min_value=found.gap)
+    return results
 
 
 def _reduce(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, batches) -> ConfigResult:
@@ -242,13 +250,11 @@ def _reduce(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, batche
     # the configuration's first minimum is the first minimum of its batch
     i, v, source = minima[int(np.argmin(values)) // cfg.batch_size]
     worst = WorstRecord(r, epsilon, (cfg.seed, ci, i), float(values[i]), v, source, cfg.mode)
-    if kind == "gap":
-        worst = _polish(cfg, worst)
     return ConfigResult(
         rank=r,
         epsilon=epsilon,
         samples=values.size,
-        min_value=min(float(values.min()), worst.value),
+        min_value=float(values.min()),
         mean_value=mean,
         worst=worst,
         residual_max=residual_max,
@@ -268,10 +274,13 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         batches = list(pool.map(lambda job: _run_batch(cfg, kind, *job), jobs))
     per = len(spans)
-    results = tuple(
+    results = [
         _reduce(cfg, kind, ci, r, e, batches[ci * per : (ci + 1) * per])
         for ci, (r, e) in enumerate(configs)
-    )
+    ]
+    if kind == "gap":
+        results = _polish(cfg, results)
+    results = tuple(results)
     min_value = min(c.min_value for c in results)
     residual_max = max(
         v for c in results for k, v in c.residual_max.items() if k != "b_bound"

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ample.curvature import build_batch, pointwise_gap, projectively_flat, sample_curvature
+from ample.curvature import (
+    batch_lhs_density,
+    build_batch,
+    gap_scale_offset,
+    pointwise_gap,
+    projectively_flat,
+    sample_curvature,
+)
 from ample.errors import InvalidInputError
 from ample.spheremin import (
     DESCENT_CHUNK,
@@ -148,6 +155,35 @@ def test_projectively_flat_batch_stops_at_the_first_check():
         assert np.array_equal(V[i], Vi[0])
         assert np.array_equal(f[i], fi[0])
         assert np.array_equal(converged[i], ci[0])
+
+
+def test_ac4_search_converges_and_reaches_the_long_run_minimum_at_rank_six():
+    # the AC-4 search (5 restarts, 60 iterations, tol 1e-6) on a fixed batch
+    # of rank-6 samples: most samples converge in every restart, and the
+    # 60-iteration minimum gap equals that of a 1000-iteration run from the
+    # same starts on all but a few samples
+    r, eps, n = 6, 0.1, 1000
+    coeff, _ = build_batch(r, eps, np.random.default_rng(6).random((n, 4 * r * r - 3)))
+    M = form_matrices(coeff)
+    V0 = basis_and_random_starts(M, det_objective, 5, (6,), 0)
+    _, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=60, tol=1e-6)
+    _, f_long, _ = minimize_on_sphere(M, V0, det_objective, iterations=1000, tol=1e-6)
+    scale, offsets = gap_scale_offset(r, eps, batch_lhs_density(coeff))
+    gap = scale * f.min(axis=1) + offsets
+    gap_long = scale * f_long.min(axis=1) + offsets
+    assert converged.all(axis=1).mean() >= 0.5
+    assert (gap - gap_long > 1e-6).mean() <= 0.01
+
+
+def test_batched_gap_search_matches_each_curvature_alone():
+    # the polish searches the worst samples of one rank together; each
+    # result is the one its curvature gets alone, seedless curvatures included
+    pcs = [sample_curvature(4, e, (3, i)) for i, e in enumerate((0.0, 0.1, 0.01))]
+    pcs.append(projectively_flat(4))
+    together = min_gap_over_v(pcs, restarts=3, iterations=150)
+    assert together == tuple(min_gap_over_v(pc, restarts=3, iterations=150) for pc in pcs)
+    with pytest.raises(InvalidInputError):
+        min_gap_over_v([sample_curvature(2, 0.1, 1), sample_curvature(3, 0.1, 1)])
 
 
 def test_reported_gap_matches_direct_evaluation_at_reported_vector():

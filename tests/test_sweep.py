@@ -88,12 +88,16 @@ def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
         cfg = replace(SMALL, batch_size=16, mode=mode)
         res = run_gap_sweep(cfg)  # jobs run in job order on one thread
         assert len(batch_starts) == per_config * len(res.results)
-        assert len(polish_starts) == len(res.results)
+        # one polish per rank; configurations are rank-major, so the polish
+        # rows in call order are the configurations' worst samples in order
+        assert len(polish_starts) == len(cfg.ranks)
+        polish_rows = [row for call in polish_starts for row in call]
+        assert len(polish_rows) == len(res.results)
         for ci, c in enumerate(res.results):
             seed, config_index, i = c.worst.seed
             assert (seed, config_index) == (cfg.seed, ci)
             batch = batch_starts[ci * per_config + i // cfg.batch_size]
-            assert np.array_equal(polish_starts[ci][0], batch[i % cfg.batch_size]), mode
+            assert np.array_equal(polish_rows[ci], batch[i % cfg.batch_size]), mode
 
 
 def test_worst_record_replays_to_the_recorded_value():
