@@ -1,12 +1,14 @@
 """Chern-class calculus for bundle expressions built from line bundles.
 
 Supported constructors: a line bundle with a given divisor class, finite
-direct sums, twists by a line bundle, and duals.  The total Chern class is
-tracked as (rank, c1, c2-on-X): on a surface the degree-4 group is one
-dimensional, so c2 is stored as the exact rational obtained by evaluating
-against the fundamental class.  Sums multiply total Chern classes truncated
-at degree 4, a twist by M sends (c1, c2) to (c1 + r*M, c2 + (r-1)*c1.M +
-r(r-1)/2 * M.M), and the dual negates c1 and fixes c2.
+direct sums, twists by a line bundle, and duals.  Each of them keeps a sum
+of line bundles split, so every expression is a direct sum of line bundles
+with classes d_1, ..., d_r: a sum concatenates the lines of its summands, a
+twist by M adds M to each line, and the dual negates each line.  The Chern
+data are read off that splitting: rank r, c1 = sum of the d_i, and c2 the
+second elementary symmetric function of the d_i, evaluated on X as
+(c1^2 - sum of d_i^2)/2; on a surface the degree-4 group is one
+dimensional, so c2 is stored as that exact rational.
 """
 
 from __future__ import annotations
@@ -58,62 +60,47 @@ class ChernData:
     c1_sq_value: Fraction
 
 
-def _check_divisor(d: CohClass, ring: SurfaceRing, where: str) -> CohClass:
-    if len(d.deg2) != ring.k:
-        raise InvalidInputError(f"{where}: divisor class does not belong to this ring")
+def _pure(d: CohClass, where: str) -> CohClass:
     if not d.is_pure_deg2():
         raise InvalidInputError(f"{where}: divisor class must be concentrated in degree 2")
     return d
 
 
-def chern_of(expr: BundleExpr, ring: SurfaceRing) -> ChernData:
-    """Chern data of a bundle expression over the given ring."""
-    rank, c1, c2 = _chern(expr, ring)
-    return ChernData(rank, c1, c2, intersect(c1, c1, ring))
+def _check_divisor(d: CohClass, ring: SurfaceRing, where: str) -> CohClass:
+    if len(d.deg2) != ring.k:
+        raise InvalidInputError(f"{where}: divisor class does not belong to this ring")
+    return _pure(d, where)
 
 
-def _chern(expr: BundleExpr, ring: SurfaceRing) -> tuple[int, CohClass, Fraction]:
+def _lines(expr: BundleExpr) -> list[CohClass]:
+    """Classes of the line bundles that expr splits into, in summand order."""
     if isinstance(expr, Line):
-        d = _check_divisor(expr.divisor, ring, "Line")
-        return 1, d, Fraction(0)
+        return [_pure(expr.divisor, "Line")]
     if isinstance(expr, Sum):
         if not expr.summands:
             raise InvalidInputError("Sum needs at least one summand")
-        rank, c1, c2 = _chern(expr.summands[0], ring)
-        for child in expr.summands[1:]:
-            r2, d1, d2 = _chern(child, ring)
-            # Whitney: c(A + B) = c(A) c(B), truncated at degree 4
-            c2 = c2 + d2 + intersect(c1, d1, ring)
-            c1 = c1 + d1
-            rank += r2
-        return rank, c1, c2
+        return [d for child in expr.summands for d in _lines(child)]
     if isinstance(expr, Twist):
-        rank, c1, c2 = _chern(expr.bundle, ring)
-        m = _check_divisor(expr.divisor, ring, "Twist")
-        c2 = (
-            c2
-            + (rank - 1) * intersect(c1, m, ring)
-            + Fraction(rank * (rank - 1), 2) * intersect(m, m, ring)
-        )
-        c1 = c1 + m.scale(rank)
-        return rank, c1, c2
+        m = _pure(expr.divisor, "Twist")
+        return [d + m for d in _lines(expr.bundle)]
     if isinstance(expr, Dual):
-        rank, c1, c2 = _chern(expr.bundle, ring)
-        return rank, -c1, c2
+        return [-d for d in _lines(expr.bundle)]
     raise InvalidInputError(f"not a bundle expression: {type(expr).__name__}")
+
+
+def chern_of(expr: BundleExpr, ring: SurfaceRing) -> ChernData:
+    """Chern data of a bundle expression over the given ring, from the lines it splits into."""
+    lines = [_check_divisor(d, ring, "Line") for d in _lines(expr)]
+    c1 = sum(lines[1:], lines[0])
+    # the classes are pure divisor classes, so their products are the pairing
+    c1_sq = ring.pair(c1.deg2, c1.deg2)
+    c2 = (c1_sq - sum(ring.pair(d.deg2, d.deg2) for d in lines)) / 2
+    return ChernData(len(lines), c1, c2, c1_sq)
 
 
 def rank_of(expr: BundleExpr) -> int:
     """Rank of a bundle expression, without touching any ring data."""
-    if isinstance(expr, Line):
-        return 1
-    if isinstance(expr, Sum):
-        if not expr.summands:
-            raise InvalidInputError("Sum needs at least one summand")
-        return sum(rank_of(child) for child in expr.summands)
-    if isinstance(expr, (Twist, Dual)):
-        return rank_of(expr.bundle)
-    raise InvalidInputError(f"not a bundle expression: {type(expr).__name__}")
+    return len(_lines(expr))
 
 
 def split_slopes(

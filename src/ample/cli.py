@@ -28,9 +28,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .bundles import BundleExpr, Line, Sum, Twist, chern_of
-from .config import RunConfig, config_from_mapping
+from .config import RunConfig, config_from_mapping, decode_json
 from .criteria import (
-    Assertions,
     build_counterexample,
     check_criterion,
     check_rank2_criterion,
@@ -84,14 +83,6 @@ def _bundle_doc(expr: BundleExpr, ring: SurfaceRing) -> dict:
     return {"kind": "dual", "bundle": _bundle_doc(expr.bundle, ring)}
 
 
-def _assertion_flags(a: Assertions) -> dict:
-    return {
-        "c1_positive": a.c1_positive,
-        "ample_on_curves": a.ample_on_curves,
-        "semistable": a.semistable,
-    }
-
-
 def _sweep_doc(cfg: RunConfig) -> dict:
     # threads and batch_size are execution-plan knobs that never change the
     # results, so they are left out of the echo to keep reports byte-identical
@@ -106,7 +97,7 @@ def _sweep_doc(cfg: RunConfig) -> dict:
 _ECHO = {
     "ring": lambda cfg: _ring_doc(cfg.ring),
     "bundle": lambda cfg: _bundle_doc(cfg.bundle, cfg.ring),
-    "assertions": lambda cfg: _assertion_flags(cfg.assertions),
+    "assertions": lambda cfg: dict(vars(cfg.assertions)),
     "divisor": lambda cfg: _divisor_doc(cfg.divisor, cfg.ring),
     "curves": lambda cfg: [_divisor_doc(c, cfg.ring) for c in cfg.curves],
     "sweep": _sweep_doc,
@@ -119,27 +110,18 @@ _ECHO = {
 
 
 def _criterion(cfg: RunConfig, criterion) -> tuple[dict, str, list[str]]:
+    # the results are the report's fields but the verdict, plus c1, with
+    # each hypothesis marked asserted or unknown
     cd = chern_of(cfg.bundle, cfg.ring)
-    rep = criterion(cd, cfg.assertions)
-    results = {
-        "rank": rep.rank,
-        "c1": _divisor_doc(cd.c1, cfg.ring),
-        "c1_sq": rep.c1_sq,
-        "c2": rep.c2,
-        "c1sq_minus_c2": rep.c1sq_minus_c2,
-        "lubke_coefficient": rep.lubke_coefficient,
-        "lubke_gap": rep.lubke_gap,
-        "st_gap": rep.st_gap,
-        "assertions": {
-            name: ("asserted" if flag else "unknown")
-            for name, flag in _assertion_flags(rep.assertions).items()
-        },
+    results = dict(vars(criterion(cd, cfg.assertions)))
+    verdict = results.pop("verdict")
+    results["c1"] = _divisor_doc(cd.c1, cfg.ring)
+    results["assertions"] = {
+        name: ("asserted" if flag else "unknown") for name, flag in vars(cfg.assertions).items()
     }
-    warnings = []
-    missing = rep.assertions.missing()
-    if missing:
-        warnings.append("unverified hypotheses: " + ", ".join(missing))
-    return results, rep.verdict, warnings
+    missing = cfg.assertions.missing()
+    warnings = ["unverified hypotheses: " + ", ".join(missing)] if missing else []
+    return results, verdict, warnings
 
 
 def _nakai(cfg: RunConfig) -> tuple[dict, str, list[str]]:
@@ -375,16 +357,11 @@ def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = decode_json(raw, f"{path}: ")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return data
@@ -453,6 +430,17 @@ def _merge_flags(doc: dict, args) -> dict:
     return doc
 
 
+def _check_writable(cfg: RunConfig) -> None:
+    """Fail before the run when an output file cannot be opened; a missing one is created."""
+    for key in ("output_path", "csv_path"):
+        path = getattr(cfg, key)
+        if path:
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror}", path=key) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -460,6 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = _merge_flags(doc, args)
         cfg = config_from_mapping(doc)
         cfg, env_warnings = _apply_seed_env(cfg)
+        _check_writable(cfg)
     except ConfigError as exc:
         error = {"error": {"type": "ConfigError", "message": str(exc)}}
         sys.stderr.write(json.dumps(error) + "\n")

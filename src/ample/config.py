@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bundles import BundleExpr, Dual, Line, Sum, Twist
@@ -160,7 +160,7 @@ def _parse_assertions(value, path: str) -> Assertions:
         return Assertions()
     obj = _object(value, path)
     flags = {}
-    for name in ("c1_positive", "ample_on_curves", "semistable"):
+    for name in (f.name for f in fields(Assertions)):
         raw = obj.pop(name, False)
         if not isinstance(raw, bool):
             _fail(f"{path}.{name}", f"expected true or false, got {raw!r}")
@@ -248,12 +248,19 @@ def config_from_mapping(document: dict) -> RunConfig:
     return RunConfig(**fields)
 
 
-def parse_config(document: str) -> RunConfig:
-    """Parse and validate a JSON config document."""
+def decode_json(document: str | bytes, where: str = ""):
+    """The value of a JSON document, bytes read as UTF-8; where prefixes any ConfigError."""
     try:
-        data = json.loads(document)
+        return json.loads(document if isinstance(document, str) else document.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_mapping(data)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or nesting deeper than the decoder recurses
+        raise ConfigError(f"{where}cannot decode JSON: {exc}") from exc
+
+
+def parse_config(document: str) -> RunConfig:
+    """Parse and validate a JSON config document."""
+    return config_from_mapping(decode_json(document))

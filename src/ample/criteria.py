@@ -18,7 +18,7 @@ identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bundles import BundleExpr, ChernData, Line, Sum, chern_of, split_slopes
@@ -37,7 +37,9 @@ class Assertions:
     True means the caller asserts the hypothesis holds for their geometry;
     False means unknown.  There is no "asserted false" state: a hypothesis
     known to fail makes the criterion inapplicable, which is the same
-    outcome as not asserting it.
+    outcome as not asserting it.  These fields are the one list of
+    hypotheses: missing(), the config parser and the report echo all read
+    them in field order.
     """
 
     c1_positive: bool = False
@@ -45,17 +47,11 @@ class Assertions:
     semistable: bool = False
 
     def all_asserted(self) -> bool:
-        return self.c1_positive and self.ample_on_curves and self.semistable
+        return not self.missing()
 
     def missing(self) -> tuple[str, ...]:
-        out = []
-        if not self.c1_positive:
-            out.append("c1_positive")
-        if not self.ample_on_curves:
-            out.append("ample_on_curves")
-        if not self.semistable:
-            out.append("semistable")
-        return tuple(out)
+        """Names of the hypotheses not asserted, in field order."""
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,24 @@ def _verdict(numerical_ok: bool, assertions: Assertions) -> str:
     return VERDICT_OK
 
 
+def _report(
+    cd: ChernData, assertions: Assertions, coeff: Fraction, also_positive: Fraction
+) -> CriterionReport:
+    """The report whose numerical part passes iff c1^2 - coeff * c2 > 0 and also_positive > 0."""
+    gap = cd.c1_sq_value - coeff * cd.c2_value
+    return CriterionReport(
+        rank=cd.rank,
+        c1_sq=cd.c1_sq_value,
+        c2=cd.c2_value,
+        c1sq_minus_c2=cd.c1_sq_value - cd.c2_value,
+        lubke_coefficient=coeff,
+        lubke_gap=gap,
+        st_gap=cd.c1_sq_value - 2 * cd.c2_value if cd.rank == 2 else None,
+        assertions=assertions,
+        verdict=_verdict(gap > 0 and also_positive > 0, assertions),
+    )
+
+
 def check_criterion(cd: ChernData, assertions: Assertions) -> CriterionReport:
     """Evaluate the higher-rank ampleness test on exact Chern data.
 
@@ -99,40 +113,14 @@ def check_criterion(cd: ChernData, assertions: Assertions) -> CriterionReport:
         raise InvalidInputError(
             "criterion needs rank >= 2; for a line bundle use nakai_check"
         )
-    coeff = lubke_coefficient(cd.rank)
-    gap = cd.c1_sq_value - coeff * cd.c2_value
-    st_gap = cd.c1_sq_value - 2 * cd.c2_value if cd.rank == 2 else None
-    numerical_ok = cd.c1_sq_value - cd.c2_value > 0 and gap > 0
-    return CriterionReport(
-        rank=cd.rank,
-        c1_sq=cd.c1_sq_value,
-        c2=cd.c2_value,
-        c1sq_minus_c2=cd.c1_sq_value - cd.c2_value,
-        lubke_coefficient=coeff,
-        lubke_gap=gap,
-        st_gap=st_gap,
-        assertions=assertions,
-        verdict=_verdict(numerical_ok, assertions),
-    )
+    return _report(cd, assertions, lubke_coefficient(cd.rank), cd.c1_sq_value - cd.c2_value)
 
 
 def check_rank2_criterion(cd: ChernData, assertions: Assertions) -> CriterionReport:
     """Evaluate the Schneider-Tancredi rank-2 test: c1^2 - 2c2 > 0 and c2 > 0."""
     if cd.rank != 2:
         raise InvalidInputError(f"rank-2 criterion applied to rank {cd.rank}")
-    st_gap = cd.c1_sq_value - 2 * cd.c2_value
-    numerical_ok = st_gap > 0 and cd.c2_value > 0
-    return CriterionReport(
-        rank=2,
-        c1_sq=cd.c1_sq_value,
-        c2=cd.c2_value,
-        c1sq_minus_c2=cd.c1_sq_value - cd.c2_value,
-        lubke_coefficient=Fraction(2),
-        lubke_gap=st_gap,
-        st_gap=st_gap,
-        assertions=assertions,
-        verdict=_verdict(numerical_ok, assertions),
-    )
+    return _report(cd, assertions, Fraction(2), cd.c2_value)
 
 
 def epsilon_choice(cd: ChernData, omega_sq: RatLike) -> Fraction:

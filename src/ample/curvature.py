@@ -114,26 +114,26 @@ def residuals(pc: PointCurvature) -> dict[str, float]:
     return _batch_residuals(pc.coeff[None], pc.B[None], pc.epsilon)
 
 
-def violations(res: dict[str, float], tol: float = VALIDATION_TOL) -> dict[str, float]:
-    """The structural residuals that are not <= tol; NaN counts, b_bound is skipped."""
-    return {k: v for k, v in res.items() if k != "b_bound" and not (v <= tol)}
+def violations(res: dict[str, float]) -> dict[str, float]:
+    """The structural residuals that are not <= VALIDATION_TOL; NaN counts, b_bound is skipped."""
+    return {k: v for k, v in res.items() if k != "b_bound" and not (v <= VALIDATION_TOL)}
 
 
-def check_residuals(res: dict[str, float], tol: float = VALIDATION_TOL, where: str = "") -> None:
-    """Raise InconsistentStateError if any structural residual exceeds tol.
+def check_residuals(res: dict[str, float], where: str = "") -> None:
+    """Raise InconsistentStateError if any structural residual exceeds VALIDATION_TOL.
 
     The rule is violations(); where prefixes the message, e.g. with the
     sweep configuration.
     """
-    bad = violations(res, tol)
+    bad = violations(res)
     if bad:
         worst = ", ".join(f"{k}={v:.3e}" for k, v in sorted(bad.items()))
         raise InconsistentStateError(f"{where}curvature constraints violated: {worst}")
 
 
-def validate(pc: PointCurvature, tol: float = VALIDATION_TOL) -> None:
-    """Raise InconsistentStateError if any structural residual exceeds tol."""
-    check_residuals(residuals(pc), tol)
+def validate(pc: PointCurvature) -> None:
+    """Raise InconsistentStateError if any structural residual exceeds VALIDATION_TOL."""
+    check_residuals(residuals(pc))
 
 
 def seed_position(seed: Seed) -> tuple[tuple[int, ...], int]:

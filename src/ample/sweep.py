@@ -236,7 +236,7 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
     return results
 
 
-def _reduce(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, batches) -> ConfigResult:
+def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> ConfigResult:
     """One configuration's result from its batches, taken in sample order."""
     values, minima, residuals, converged = zip(*batches)
     residual_max = {key: max(res[key] for res in residuals) for key in residuals[0]}
@@ -275,7 +275,7 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
         batches = list(pool.map(lambda job: _run_batch(cfg, kind, *job), jobs))
     per = len(spans)
     results = [
-        _reduce(cfg, kind, ci, r, e, batches[ci * per : (ci + 1) * per])
+        _reduce(cfg, ci, r, e, batches[ci * per : (ci + 1) * per])
         for ci, (r, e) in enumerate(configs)
     ]
     if kind == "gap":

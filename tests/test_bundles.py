@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ample.bundles import (
+    ChernData,
     Dual,
     Line,
     Sum,
@@ -140,6 +141,49 @@ def test_splitting_principle_elementary_symmetric_oracle():
         )
         assert cd.c2_value == e2
         assert cd.c1 == sum(divisors[1:], divisors[0])
+
+
+def constructor_rules(expr, ring):
+    """(rank, c1, c2) of expr by the rules of each constructor.
+
+    Sum multiplies total Chern classes (Whitney), a twist by M sends
+    (c1, c2) to (c1 + rM, c2 + (r-1) c1.M + r(r-1)/2 M.M), and the dual
+    negates c1 and keeps c2.
+    """
+    if isinstance(expr, Line):
+        return 1, expr.divisor, Fraction(0)
+    if isinstance(expr, Sum):
+        rank, c1, c2 = constructor_rules(expr.summands[0], ring)
+        for child in expr.summands[1:]:
+            r2, d1, d2 = constructor_rules(child, ring)
+            rank, c1, c2 = rank + r2, c1 + d1, c2 + d2 + intersect(c1, d1, ring)
+        return rank, c1, c2
+    rank, c1, c2 = constructor_rules(expr.bundle, ring)
+    if isinstance(expr, Dual):
+        return rank, -c1, c2
+    M = expr.divisor
+    c2 += (rank - 1) * intersect(c1, M, ring) + Fraction(rank * (rank - 1), 2) * intersect(M, M, ring)
+    return rank, c1 + M.scale(rank), c2
+
+
+def random_expr(rng, ring, depth):
+    if depth == 0:
+        return Line(random_divisor(rng, ring))
+    kind = rng.choice(("sum", "twist", "dual"))
+    if kind == "sum":
+        return Sum(*(random_expr(rng, ring, depth - 1) for _ in range(rng.randint(1, 3))))
+    inner = random_expr(rng, ring, depth - 1)
+    return Twist(inner, random_divisor(rng, ring)) if kind == "twist" else Dual(inner)
+
+
+def test_splitting_matches_the_constructor_rules_on_nested_expressions():
+    rng = random.Random(414)
+    for _ in range(80):
+        ring = random_ring(rng, rng.randint(1, 3))
+        expr = random_expr(rng, ring, rng.randint(3, 4))
+        rank, c1, c2 = constructor_rules(expr, ring)
+        assert rank_of(expr) == rank
+        assert chern_of(expr, ring) == ChernData(rank, c1, c2, intersect(c1, c1, ring))
 
 
 def test_split_slopes_examples():

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from ample import cli
 from ample.cli import main
 
 SCHEMA = json.loads(
@@ -129,6 +130,41 @@ def test_config_errors_exit_2_without_a_report(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"command": "check", "ring": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_config_that_is_not_json_text_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    code, out, err = invoke(capsys, ["check", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith(f"{path}: cannot decode JSON: ")
+
+
+def test_unwritable_out_path_exits_2_before_the_run(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = invoke(capsys, ["counterexample", "-r", "3", "-a", "2", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith("output_path: cannot write ")
+
+
+def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypatch):
+    calls = []
+    sweep = cli.run_gap_sweep
+    monkeypatch.setattr(cli, "run_gap_sweep", lambda cfg: calls.append(cfg) or sweep(cfg))
+    path = write_config(tmp_path, {"sweep": {"ranks": [2], "samples": 2, "seed": 0}})
+    csv_path = tmp_path / "missing" / "hist.csv"
+    code, out, err = invoke(capsys, ["verify-lemma", "--config", path, "--csv", str(csv_path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith("csv_path: cannot write ")
+    assert calls == []
 
 
 def test_command_mismatch_between_flag_and_file(capsys, tmp_path):

@@ -172,6 +172,12 @@ def test_malformed_json_reports_position():
     assert "line 1 column 21" in str(exc.value)
 
 
+def test_json_nested_deeper_than_the_decoder_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[" * 100_000 + "]" * 100_000)
+    assert str(exc.value).startswith("cannot decode JSON: ")
+
+
 def test_parse_config_round_trip():
     cfg = parse_config('{"command": "counterexample", "r": 5, "a": "7/3"}')
     assert cfg.r == 5

@@ -1,10 +1,10 @@
-"""Every name a module imports is used in that module, and every name a
-module defines is used somewhere else.
+"""Every name a module imports is used in that module, every name a module
+defines is used somewhere else, and every parameter is read by its function.
 
-Stands in for a linter's unused-import and dead-code rules.  The package
-__init__ is exempt from the first: its imports are the public re-exports.
-Also checks that every module attribute the benchmark's tracer wraps
-(perfbench/tracing.py, loaded read-only) still exists.
+Stands in for a linter's unused-import, dead-code and unused-argument rules.
+The package __init__ is exempt from the first: its imports are the public
+re-exports.  Also checks that every module attribute the benchmark's tracer
+wraps (perfbench/tracing.py, loaded read-only) still exists.
 """
 
 import ast
@@ -78,6 +78,30 @@ def test_every_module_level_name_is_referenced():
         for name in _defined(node)
         if not any(name in r for key, r in refs.items() if key != (path, i))
     ]
+    assert unused == []
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            out += [f"{path.stem}.{fn.name}: {p}" for p in params if p not in ("self", "cls", *read)]
+    return out
+
+
+def test_every_parameter_is_used():
+    # stands in for a linter's unused-argument rule; a parameter counts as
+    # used when its function's body reads it, nested functions included
+    modules = sorted(PACKAGE.glob("*.py"))
+    unused = [entry for path in modules for entry in _unused_parameters(path)]
     assert unused == []
 
 
