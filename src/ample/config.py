@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -128,7 +129,13 @@ def _parse_divisor(value, path: str, ring: SurfaceRing) -> CohClass:
     return ring.divisor(coords)
 
 
-def _parse_bundle(value, path: str, ring: SurfaceRing) -> BundleExpr:
+def _parse_bundle(value, path: str, ring: SurfaceRing, depth: int = 0) -> BundleExpr:
+    # this parser, bundles._lines and the report's echo each recurse through
+    # a bundle with up to two frames per level, so a bundle nested deeper
+    # than a quarter of the recursion limit is refused here, before any of
+    # them can exhaust it
+    if depth > sys.getrecursionlimit() // 4:
+        _fail(path, f"bundle nested deeper than {sys.getrecursionlimit() // 4} levels")
     obj = _object(value, path)
     kind = obj.pop("kind", None)
     if kind == "line":
@@ -141,15 +148,18 @@ def _parse_bundle(value, path: str, ring: SurfaceRing) -> BundleExpr:
             _fail(f"{path}.summands", "sum needs at least one summand")
         _reject_unknown(obj, path)
         return Sum(
-            *(_parse_bundle(x, f"{path}.summands[{i}]", ring) for i, x in enumerate(raw))
+            *(
+                _parse_bundle(x, f"{path}.summands[{i}]", ring, depth + 1)
+                for i, x in enumerate(raw)
+            )
         )
     if kind == "twist":
-        inner = _parse_bundle(obj.pop("bundle", None), f"{path}.bundle", ring)
+        inner = _parse_bundle(obj.pop("bundle", None), f"{path}.bundle", ring, depth + 1)
         divisor = _parse_divisor(obj.pop("divisor", None), f"{path}.divisor", ring)
         _reject_unknown(obj, path)
         return Twist(inner, divisor)
     if kind == "dual":
-        inner = _parse_bundle(obj.pop("bundle", None), f"{path}.bundle", ring)
+        inner = _parse_bundle(obj.pop("bundle", None), f"{path}.bundle", ring, depth + 1)
         _reject_unknown(obj, path)
         return Dual(inner)
     _fail(f"{path}.kind", f"expected one of line, sum, twist, dual; got {kind!r}")

@@ -11,7 +11,8 @@ general-purpose optimizer dependency is warranted for an r <= 10 problem.
 
 Everything here is batched over n instances with S starts each, one row per
 (instance, start) pair, and rows never interact.  Blocks come in and go out
-as (n, S, ...) arrays; the descent carries each pair as a row of its own.
+as (n, S, ...) arrays; the descent carries each pair as a row of its own,
+and works through the instances in chunks sized by r and S (descent_chunk).
 That makes sweep results independent of how batches are scheduled and makes
 more restarts a strict superset of fewer.
 """
@@ -38,6 +39,7 @@ ETA0 = 0.25
 ETA_MAX = 4.0
 ETA_MIN = 1e-10
 DESCENT_CHUNK = 512
+DESCENT_BUDGET = 46080  # instances x starts x r^2 per chunk, see descent_chunk
 
 
 def form_matrices(coeff: np.ndarray) -> np.ndarray:
@@ -84,21 +86,29 @@ def lmin_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
     c00 = 0.5 - 0.5 * half_diff * inv
     c11 = 0.5 + 0.5 * half_diff * inv
     c01 = -0.5 * np.conj(q01) * inv
-    grad = (
-        c00[..., None] * Mv[:, :, 0, 0]
-        + c11[..., None] * Mv[:, :, 1, 1]
-        + c01[..., None] * Mv[:, :, 0, 1]
-        + np.conj(c01)[..., None] * Mv[:, :, 1, 0]
-        - f[..., None] * V
-    )
+    # accumulated in place, term by term in the order of the formula
+    grad = c00[..., None] * Mv[:, :, 0, 0]
+    grad += c11[..., None] * Mv[:, :, 1, 1]
+    grad += c01[..., None] * Mv[:, :, 0, 1]
+    grad += np.conj(c01)[..., None] * Mv[:, :, 1, 0]
+    grad -= f[..., None] * V
     return f, grad
 
 
 def objective_values(M: np.ndarray, V: np.ndarray, objective) -> np.ndarray:
-    """Objective values only, for already-normalized vectors V of shape (n, S, r)."""
-    V = _instance_last(np.asarray(V))
-    Mv = _mv(M, V)
-    f, _ = objective(V, Mv, _q(V, Mv))
+    """Objective values only, for already-normalized vectors V of shape (n, S, r).
+
+    Instances are evaluated descent_chunk(r, S) at a time, which bounds the
+    memory of the products M v as it bounds the descent's.
+    """
+    V = np.asarray(V)
+    n, S, r = V.shape
+    f = np.empty((n, S))
+    chunk = descent_chunk(r, S)
+    for lo in range(0, n, chunk):
+        Vc = _instance_last(V[lo : lo + chunk])
+        Mv = _mv(M[lo : lo + chunk], Vc)
+        f[lo : lo + chunk], _ = objective(Vc, Mv, _q(Vc, Mv))
     return f
 
 
@@ -132,6 +142,16 @@ def _normalize(V: np.ndarray) -> np.ndarray:
     return V / np.sqrt(_dot(V, V))[..., None]
 
 
+def descent_chunk(r: int, starts: int) -> int:
+    """Instances per chunk of a descent at rank r with `starts` starts each.
+
+    As many as keep instances x starts x r^2 within DESCENT_BUDGET, and never
+    fewer than DESCENT_CHUNK: with 5 starts, 2304 at r = 2, 1024 at r = 3,
+    576 at r = 4 and 512 from r = 5 on.
+    """
+    return max(DESCENT_CHUNK, DESCENT_BUDGET // max(starts * r * r, 1))
+
+
 def minimize_on_sphere(
     M: np.ndarray,
     V0: np.ndarray,
@@ -153,21 +173,35 @@ def minimize_on_sphere(
     keep converged = False.  Accepted steps only ever decrease f, so the
     final f never exceeds the value at the corresponding start.
 
-    Rows never interact, so instances are descended DESCENT_CHUNK at a time,
-    which keeps each step's arrays in cache, and stopped rows are dropped on
-    the way; neither changes any value.
+    Rows never interact, so instances are descended descent_chunk(r, S) at a
+    time, and stopped rows are dropped on the way; neither changes any value.
+    A step makes 50 to 75 numpy calls whatever the chunk size, most of them
+    on one number or one vector per row, and each call takes and releases
+    the GIL.  On chunks of 512 instances at r <= 3 the calls were so short
+    that two sweep threads ran no faster than one; larger chunks make each
+    call longer.  A chunk's memory grows with its rows times r^2, since each
+    row carries its own copy of M, so that product is what the chunk rule
+    bounds.
     """
     V0 = np.asarray(V0, dtype=np.complex128)
-    n = V0.shape[0]
+    n, S, r = V0.shape
     V = np.empty(V0.shape, dtype=np.complex128)
     f = np.empty(V0.shape[:2])
     converged = np.empty(V0.shape[:2], dtype=bool)
-    for lo in range(0, n, DESCENT_CHUNK):
-        hi = lo + DESCENT_CHUNK
+    chunk = descent_chunk(r, S)
+    for lo in range(0, n, chunk):
+        hi = lo + chunk
         V[lo:hi], f[lo:hi], converged[lo:hi] = _descend(
             M[lo:hi], V0[lo:hi], objective, iterations, tol
         )
     return V, f, converged
+
+
+def _evaluate(M: np.ndarray, V: np.ndarray, objective):
+    """Objective values and tangent gradients at the unit rows V."""
+    Mv = _mv(M, V)
+    f, grad = objective(V, Mv, _q(V, Mv))
+    return f, _tangent(V, grad)
 
 
 def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: float):
@@ -179,16 +213,16 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     it serves the stopping test, the next step and the Barzilai-Borwein
     step.  A stopped row never moves again, so once at most half of the
     carried rows are still active, the carried rows are written out and only
-    the active ones go on, gathered by _take.  What is still carried at the
-    end is written out then.
+    the active ones go on, gathered by _take; their copies of M are gathered
+    afresh from M after the old copies are released.  What is still carried
+    at the end is written out then.  Nothing of one step outlives it, so the
+    peak is the carried rows plus one step's arrays.
     """
     n, S, r = V0.shape
     rows = np.arange(n * S)  # flat (instance, start) index of each carried row
-    M = _take(M, rows // S)
+    Mr = _take(M, rows // S)
     V = _normalize(_instance_last(V0.reshape(-1, 1, r)))
-    Mv = _mv(M, V)
-    f, grad = objective(V, Mv, _q(V, Mv))
-    tan = _tangent(V, grad)
+    f, tan = _evaluate(Mr, V, objective)
     V_all = np.empty((n * S, r), dtype=np.complex128)
     f_all = np.empty(n * S)
     converged = np.ones(n * S, dtype=bool)
@@ -204,25 +238,27 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
         if keep.size <= active.size // 2:
             V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
             rows = rows[keep]
-            M, V, f, tan, gnorm2, eta, active = (
-                _take(a, keep) for a in (M, V, f, tan, gnorm2, eta, active)
+            del Mr
+            Mr = _take(M, rows // S)
+            V, f, tan, gnorm2, eta, active = (
+                _take(a, keep) for a in (V, f, tan, gnorm2, eta, active)
             )
         W = _normalize(V - eta[..., None] * tan)
-        Mw = _mv(M, W)
-        fw, gradw = objective(W, Mw, _q(W, Mw))
-        tanw = _tangent(W, gradw)
+        fw, tanw = _evaluate(Mr, W, objective)
         accept = active & (fw <= f - ARMIJO_C * eta * gnorm2)
         # Barzilai-Borwein step <s, s>/Re<s, y> for the move s and the change
         # y of the tangent gradient; ETA_MAX where Re<s, y> <= 0 or the step
         # would exceed it, so that no row divides by zero or overflows
         s = W - V
         ss, sy = _dot(s, s), _dot(s, tanw - tan)
+        del s
         bounded = ss < ETA_MAX * sy
         bb = np.where(bounded, np.maximum(ss / np.where(bounded, sy, 1.0), ETA_MIN), ETA_MAX)
         np.copyto(V, W, where=accept[..., None])
         np.copyto(f, fw, where=accept)
         np.copyto(tan, tanw, where=accept[..., None])
         eta = np.where(accept, bb, np.where(active, eta * 0.5, eta))
+        del W, fw, tanw, accept, ss, sy, bounded, bb
     V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
     converged[rows] = ~active[:, 0]
     return V_all.reshape(n, S, r), f_all.reshape(n, S), converged.reshape(n, S)

@@ -146,6 +146,29 @@ def test_config_that_is_not_json_text_exits_2(capsys, tmp_path, text):
     assert json.loads(err)["error"]["message"].startswith(f"{path}: cannot decode JSON: ")
 
 
+def test_bundle_nested_past_the_walks_exits_2(tmp_path):
+    # 984 duals is shallow enough for the JSON decoder but deep enough to
+    # exhaust the recursion limit in a recursive walk of the bundle; run as
+    # the command line runs, so that the test's own stack depth plays no part;
+    # the text is put together by hand, since json.dumps would recurse as deep
+    bundle = json.dumps(split_bundle({"h": "2"}, {"h": "1"}))
+    bundle = '{"kind": "dual", "bundle": ' * 984 + bundle + "}" * 984
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"command": "check", "ring": {json.dumps(P2)}, "bundle": {bundle}}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ample", "check", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("bundle.bundle.")
+    assert error["message"].endswith(": bundle nested deeper than 250 levels")
+
+
 def test_unwritable_out_path_exits_2_before_the_run(capsys, tmp_path):
     out_path = tmp_path / "missing" / "report.json"
     code, out, err = invoke(capsys, ["counterexample", "-r", "3", "-a", "2", "--out", str(out_path)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ample.errors import InvalidInputError
 from ample.spheremin import (
     DESCENT_CHUNK,
     basis_and_random_starts,
+    descent_chunk,
     det_objective,
     form_matrices,
     griffiths_min,
@@ -107,19 +110,69 @@ def test_batched_descent_matches_each_instance_alone():
 
 
 def test_chunked_descent_matches_other_splits_of_the_instances():
-    # a batch larger than DESCENT_CHUNK is descended chunk by chunk; splitting
-    # the instance axis anywhere else gives the same bits
-    r = 3
-    n = DESCENT_CHUNK + 100
-    uniforms = np.random.default_rng(8).random((n, 4 * r * r - 3))
+    # a batch larger than one chunk is descended chunk by chunk; splitting the
+    # instance axis anywhere else gives the same bits, at every rank and with
+    # either objective.  More than half of the rows stop, so rows are dropped,
+    # and some run to the iteration cap.  objective_values is chunked alike
+    cases = [(r, det_objective) for r in (2, 3, 4, 5, 6)]
+    cases += [(r, lmin_objective) for r in (2, 3)]
+    for r, objective in cases:
+        chunk = descent_chunk(r, 3)
+        n = chunk + 100
+        uniforms = np.random.default_rng((8, r)).random((n, 4 * r * r - 3))
+        M = form_matrices(build_batch(r, 0.1, uniforms)[0])
+        V0 = basis_and_random_starts(M, objective, 3, (8, r), 0)
+        V, f, converged = minimize_on_sphere(M, V0, objective, iterations=40, tol=1e-6)
+        assert 0.5 < converged.mean() < 1.0
+        cut = chunk // 2 + 1
+        for lo, hi in ((0, cut), (cut, n)):
+            Vp, fp, cp = minimize_on_sphere(
+                M[lo:hi], V0[lo:hi], objective, iterations=40, tol=1e-6
+            )
+            assert np.array_equal(V[lo:hi], Vp), (r, objective.__name__, lo)
+            assert np.array_equal(f[lo:hi], fp), (r, objective.__name__, lo)
+            assert np.array_equal(converged[lo:hi], cp), (r, objective.__name__, lo)
+            f0 = objective_values(M[lo:hi], V0[lo:hi], objective)
+            assert np.array_equal(objective_values(M, V0, objective)[lo:hi], f0)
+
+
+def test_descent_chunks_grow_at_low_rank_and_keep_the_floor():
+    assert [descent_chunk(r, 5) for r in (2, 3, 4, 5, 6)] == [2304, 1024, 576, 512, 512]
+    assert all(descent_chunk(r, s) >= DESCENT_CHUNK for r in range(1, 11) for s in range(1, 40))
+
+
+def _descent_peak_bytes(r, n, objective):
+    """Peak traced bytes of one descent of n instances with 5 starts each."""
+    uniforms = np.random.default_rng(r).random((n, 4 * r * r - 3))
     M = form_matrices(build_batch(r, 0.1, uniforms)[0])
-    V0 = basis_and_random_starts(M, det_objective, 3, (8,), 0)
-    V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=40, tol=1e-6)
-    for lo, hi in ((0, 250), (250, n)):
-        Vp, fp, cp = minimize_on_sphere(M[lo:hi], V0[lo:hi], det_objective, iterations=40, tol=1e-6)
-        assert np.array_equal(V[lo:hi], Vp)
-        assert np.array_equal(f[lo:hi], fp)
-        assert np.array_equal(converged[lo:hi], cp)
+    V0 = basis_and_random_starts(M, objective, 5, (r,), 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        minimize_on_sphere(M, V0, objective, iterations=60, tol=1e-6)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_descent_footprint_per_carried_row():
+    # tracemalloc counts numpy's buffers exactly, so these figures are
+    # deterministic.  The bounds are a fifth below the figures measured
+    # (numpy 2.4) before chunks were sized by rank, when the descent kept the
+    # last step's arrays, the first evaluation's products and gradient and,
+    # while compacting, the old and the new copies of M alive; 512 instances
+    # are one chunk either way
+    per_row_before = {
+        (2, lmin_objective): 1160,
+        (3, lmin_objective): 1846,
+        (3, det_objective): 1846,
+        (6, det_objective): 5264,
+    }
+    for (r, objective), before in per_row_before.items():
+        per_row = _descent_peak_bytes(r, 512, objective) / (512 * 5)
+        assert per_row < 0.8 * before, (r, objective.__name__, per_row)
+    # a whole lemma-ac4 batch at rank 6, where chunks keep their floor
+    assert _descent_peak_bytes(6, 1000, det_objective) < 0.8 * 13_731_624
 
 
 def test_zero_iterations_return_the_normalized_starts():

@@ -65,6 +65,13 @@ def test_sweep_independent_of_thread_count_and_batch_size():
             assert sweep(replace(SMALL, **changes)) == base, changes
 
 
+def test_sweep_without_random_vectors_reports_the_search_alone():
+    # random_vectors may be 0: the screen then evaluates an empty block
+    res = run_gap_sweep(replace(SMALL, random_vectors=0))
+    assert res.passed
+    assert all(c.worst.source == ADVERSARIAL_SOURCE for c in res.results)
+
+
 def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
     # the batches descend through sweep's minimize_on_sphere and the polish
     # through spheremin's; record the starting block of each call
