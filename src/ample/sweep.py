@@ -30,7 +30,10 @@ sweep's worst samples searches those replays, one batched search per rank.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -263,7 +266,37 @@ def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> Confi
     )
 
 
+@functools.cache
+def _keep_batch_memory() -> None:
+    """Let glibc's malloc keep freed batch memory instead of returning it.
+
+    A batch allocates and frees its whole working set, about 9 MB for a
+    rank-3 griffiths batch of 2048 samples.  Under glibc's dynamic
+    thresholds a thread's heap gives freed memory back to the kernel once
+    more than twice the largest freed mapping (there about 6 MB) is free at
+    its top, so each batch faulted its working set in afresh: 20 000 to
+    55 000 page faults per command of the griffiths-lowrank-2t benchmark,
+    by the heap layout each process happened to reach, and a varying share
+    of its CPU time in the kernel.  With the thresholds set here, the
+    largest that glibc's own dynamic rule can reach (M_MMAP_THRESHOLD
+    32 MiB, M_TRIM_THRESHOLD twice that), a command faults a few dozen
+    pages.  The setting is process-wide and made once, on the first sweep;
+    elsewhere than glibc on Linux nothing is changed.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
+    _keep_batch_memory()
     configs = [(r, e) for r in cfg.ranks for e in cfg.epsilons]
     samples = cfg.samples
     if cfg.mode == "projectively-flat":

@@ -1,4 +1,7 @@
 import csv
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -70,6 +73,32 @@ def test_sweep_without_random_vectors_reports_the_search_alone():
     res = run_gap_sweep(replace(SMALL, random_vectors=0))
     assert res.passed
     assert all(c.worst.source == ADVERSARIAL_SOURCE for c in res.results)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_a_repeated_sweep_reuses_the_memory_of_its_batches():
+    # a fresh process, so that no earlier test has moved malloc's thresholds;
+    # without them each 2048-sample batch faults its working set in afresh,
+    # about 1000 to 3000 pages.  With them a repeated sweep faults almost
+    # none, unless a new worker thread gets a fresh heap, which happens when
+    # the pool's threads start before the last pool's have fully exited;
+    # hence the fewest faults of three repetitions
+    code = """
+import resource
+from ample.sweep import SweepConfig, run_griffiths_sweep
+cfg = SweepConfig(ranks=(2, 3), epsilons=(0.1,), samples=4096, batch_size=2048,
+                  threads=2, restarts=5, random_vectors=10, iterations=60)
+run_griffiths_sweep(cfg)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_griffiths_sweep(cfg)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(min(faults))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert int(proc.stdout) < 500
 
 
 def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
