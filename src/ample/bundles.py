@@ -7,8 +7,8 @@ with classes d_1, ..., d_r: a sum concatenates the lines of its summands, a
 twist by M adds M to each line, and the dual negates each line.  The Chern
 data are read off that splitting: rank r, c1 = sum of the d_i, and c2 the
 second elementary symmetric function of the d_i, evaluated on X as
-(c1^2 - sum of d_i^2)/2; on a surface the degree-4 group is one
-dimensional, so c2 is stored as that exact rational.
+(c1^2 - sum of d_i^2)/2.  Every product here is the intersection number of
+two divisor classes, so c2 and c1^2 are stored as exact rationals.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ class Sum:
     summands: tuple["BundleExpr", ...]
 
     def __init__(self, *summands):
-        # accept Sum(a, b, c) as well as Sum([a, b, c])
-        if len(summands) == 1 and isinstance(summands[0], (list, tuple)):
-            summands = tuple(summands[0])
-        object.__setattr__(self, "summands", tuple(summands))
+        object.__setattr__(self, "summands", summands)
 
 
 @dataclass(frozen=True)
@@ -60,29 +57,16 @@ class ChernData:
     c1_sq_value: Fraction
 
 
-def _pure(d: CohClass, where: str) -> CohClass:
-    if not d.is_pure_deg2():
-        raise InvalidInputError(f"{where}: divisor class must be concentrated in degree 2")
-    return d
-
-
-def _check_divisor(d: CohClass, ring: SurfaceRing, where: str) -> CohClass:
-    if len(d.deg2) != ring.k:
-        raise InvalidInputError(f"{where}: divisor class does not belong to this ring")
-    return _pure(d, where)
-
-
 def _lines(expr: BundleExpr) -> list[CohClass]:
     """Classes of the line bundles that expr splits into, in summand order."""
     if isinstance(expr, Line):
-        return [_pure(expr.divisor, "Line")]
+        return [expr.divisor]
     if isinstance(expr, Sum):
         if not expr.summands:
             raise InvalidInputError("Sum needs at least one summand")
         return [d for child in expr.summands for d in _lines(child)]
     if isinstance(expr, Twist):
-        m = _pure(expr.divisor, "Twist")
-        return [d + m for d in _lines(expr.bundle)]
+        return [d + expr.divisor for d in _lines(expr.bundle)]
     if isinstance(expr, Dual):
         return [-d for d in _lines(expr.bundle)]
     raise InvalidInputError(f"not a bundle expression: {type(expr).__name__}")
@@ -90,11 +74,10 @@ def _lines(expr: BundleExpr) -> list[CohClass]:
 
 def chern_of(expr: BundleExpr, ring: SurfaceRing) -> ChernData:
     """Chern data of a bundle expression over the given ring, from the lines it splits into."""
-    lines = [_check_divisor(d, ring, "Line") for d in _lines(expr)]
+    lines = _lines(expr)
     c1 = sum(lines[1:], lines[0])
-    # the classes are pure divisor classes, so their products are the pairing
-    c1_sq = ring.pair(c1.deg2, c1.deg2)
-    c2 = (c1_sq - sum(ring.pair(d.deg2, d.deg2) for d in lines)) / 2
+    c1_sq = intersect(c1, c1, ring)
+    c2 = (c1_sq - sum(intersect(d, d, ring) for d in lines)) / 2
     return ChernData(len(lines), c1, c2, c1_sq)
 
 
@@ -114,13 +97,9 @@ def split_slopes(
     quotient, so the sum is semistable with respect to the polarization
     exactly when all these numbers coincide.
     """
-    _check_divisor(polarization, ring, "polarization")
     if polarization.is_zero():
         raise InvalidInputError("polarization must be nonzero")
-    return [
-        intersect(_check_divisor(d, ring, f"summand {i}"), polarization, ring)
-        for i, d in enumerate(summands)
-    ]
+    return [intersect(d, polarization, ring) for d in summands]
 
 
 def is_semistable_split(

@@ -7,7 +7,9 @@ with the Lubke coefficient 2r(r-1)/(r^2-2r+2) and additionally requires
 computation can decide from intersection data alone (positivity of c1,
 ampleness on every curve, semistability with respect to the determinant);
 those enter as caller-supplied assertions and the verdict vocabulary keeps
-them visible instead of folding them into a boolean.
+them visible instead of folding them into a boolean.  Every number these
+tests compare (c1^2, c2, (c1^2 - c2).X, d^2, d.C) is computed from
+intersection numbers of divisor classes (intersection.intersect).
 
 All comparisons are strict and exact.  The boundary is genuinely unsafe: for
 every rank r >= 3 there is a split bundle with equal slopes whose Lubke gap
@@ -159,13 +161,9 @@ def nakai_check(
     """Check d^2 > 0 and d.C > 0 for each supplied curve class C.
 
     An empty curve list passes (vacuously) with a warning recorded, since
-    the test then says nothing about curves at all.
+    the test then says nothing about curves at all.  A class whose number
+    of coordinates differs from the ring's rank raises InvalidInputError.
     """
-    if not d.is_pure_deg2():
-        raise InvalidInputError("class to test must be concentrated in degree 2")
-    for i, c in enumerate(curves):
-        if not c.is_pure_deg2():
-            raise InvalidInputError(f"curve class {i} must be concentrated in degree 2")
     d_sq = intersect(d, d, ring)
     degrees = tuple(intersect(d, c, ring) for c in curves)
     warnings: tuple[str, ...] = ()

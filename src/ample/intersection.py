@@ -1,12 +1,11 @@
-"""Exact rational model of the even cohomology of a compact complex surface.
+"""Exact rational divisor classes on a compact complex surface.
 
 A :class:`SurfaceRing` is a finite divisor basis together with the symmetric
 matrix of intersection numbers of the basis divisors, evaluated against the
-fundamental class.  Elements are :class:`CohClass` values graded by degree:
-a rational in degree 0, a vector of divisor coordinates in degree 2, and a
-rational multiple of the point class in degree 4.  All arithmetic is exact
-(``fractions.Fraction``); products of two degree-2 classes land in degree 4
-through the pairing, and anything of higher degree vanishes on a surface.
+fundamental class.  Its elements are :class:`CohClass` values, divisor
+classes given by their coordinates in that basis, and :func:`intersect` is
+their pairing: the intersection number of two divisors.  All arithmetic is
+exact (``fractions.Fraction``).
 """
 
 from __future__ import annotations
@@ -40,20 +39,14 @@ def as_rational(x: RatLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CohClass:
-    """Graded element of a surface ring: (degree 0, degree 2, degree 4)."""
+    """Divisor class: its coordinates in the divisor basis of a surface ring."""
 
-    deg0: Fraction
     deg2: tuple[Fraction, ...]
-    deg4: Fraction
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if len(self.deg2) != len(other.deg2):
             raise InvalidInputError("cannot add classes from rings of different rank")
-        return CohClass(
-            self.deg0 + other.deg0,
-            tuple(a + b for a, b in zip(self.deg2, other.deg2)),
-            self.deg4 + other.deg4,
-        )
+        return CohClass(tuple(a + b for a, b in zip(self.deg2, other.deg2)))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
@@ -63,14 +56,10 @@ class CohClass:
 
     def scale(self, c: RatLike) -> "CohClass":
         c = as_rational(c)
-        return CohClass(c * self.deg0, tuple(c * x for x in self.deg2), c * self.deg4)
+        return CohClass(tuple(c * x for x in self.deg2))
 
     def is_zero(self) -> bool:
-        return self.deg0 == 0 and self.deg4 == 0 and all(x == 0 for x in self.deg2)
-
-    def is_pure_deg2(self) -> bool:
-        """True when only the divisor part is populated (degree 0 and 4 vanish)."""
-        return self.deg0 == 0 and self.deg4 == 0
+        return all(x == 0 for x in self.deg2)
 
 
 @dataclass(frozen=True)
@@ -110,16 +99,10 @@ class SurfaceRing:
         return len(self.basis_names)
 
     def zero(self) -> CohClass:
-        return CohClass(Fraction(0), (Fraction(0),) * self.k, Fraction(0))
-
-    def unit(self) -> CohClass:
-        return CohClass(Fraction(1), (Fraction(0),) * self.k, Fraction(0))
-
-    def point_class(self, c: RatLike = 1) -> CohClass:
-        return CohClass(Fraction(0), (Fraction(0),) * self.k, as_rational(c))
+        return CohClass((Fraction(0),) * self.k)
 
     def divisor(self, coords: dict[str, RatLike] | list | tuple) -> CohClass:
-        """Degree-2 class from coordinates, given as a vector or a name->value map."""
+        """Divisor class from coordinates, given as a vector or a name->value map."""
         if isinstance(coords, dict):
             unknown = set(coords) - set(self.basis_names)
             if unknown:
@@ -131,46 +114,22 @@ class SurfaceRing:
                     f"divisor vector has length {len(coords)}, ring has rank {self.k}"
                 )
             vec = tuple(as_rational(x) for x in coords)
-        return CohClass(Fraction(0), vec, Fraction(0))
+        return CohClass(vec)
 
     def basis_divisor(self, name: str) -> CohClass:
         return self.divisor({name: 1})
 
-    def pair(self, u: tuple[Fraction, ...], w: tuple[Fraction, ...]) -> Fraction:
-        """Bilinear form of two coordinate vectors through the pairing matrix."""
-        if len(u) != self.k or len(w) != self.k:
-            raise InvalidInputError("coordinate vector length does not match ring rank")
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.pairing[i]
-            for j, wj in enumerate(w):
-                if wj != 0:
-                    total += ui * row[j] * wj
-        return total
-
-
-def ring_mul(a: CohClass, b: CohClass, ring: SurfaceRing) -> CohClass:
-    """Graded-commutative product, truncated above degree 4.
-
-    The degree-4 part collects a0*b4, a4*b0, and the pairing of the two
-    divisor parts; deg2*deg4 and deg4*deg4 would exceed the dimension of a
-    surface and are dropped.
-    """
-    if len(a.deg2) != ring.k or len(b.deg2) != ring.k:
-        raise InvalidInputError("class does not belong to this ring (wrong rank)")
-    deg0 = a.deg0 * b.deg0
-    deg2 = tuple(a.deg0 * y + b.deg0 * x for x, y in zip(a.deg2, b.deg2))
-    deg4 = a.deg0 * b.deg4 + b.deg0 * a.deg4 + ring.pair(a.deg2, b.deg2)
-    return CohClass(deg0, deg2, deg4)
-
-
-def evaluate_on_X(c: CohClass) -> Fraction:
-    """Intersection number against the fundamental class: the degree-4 part."""
-    return c.deg4
-
 
 def intersect(a: CohClass, b: CohClass, ring: SurfaceRing) -> Fraction:
-    """Convenience: evaluate the product of two classes on the fundamental class."""
-    return evaluate_on_X(ring_mul(a, b, ring))
+    """Intersection number of two divisor classes through the pairing matrix."""
+    if len(a.deg2) != ring.k or len(b.deg2) != ring.k:
+        raise InvalidInputError("class does not belong to this ring (wrong rank)")
+    total = Fraction(0)
+    for i, ai in enumerate(a.deg2):
+        if ai == 0:
+            continue
+        row = ring.pairing[i]
+        for j, bj in enumerate(b.deg2):
+            if bj != 0:
+                total += ai * row[j] * bj
+    return total

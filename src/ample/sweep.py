@@ -14,11 +14,11 @@ touches (see curvature.seeded_draws), so a batch draws all its samples with
 one generator per stream and vector slot, and a sample never depends on the
 batch it falls in.  Configurations are enumerated rank-major over (ranks x
 epsilons).  Work is split into fixed-size batches by sample index, and the
-batches of all configurations run as one job list on one thread pool.  Each
-batch is a pure function of the seed, and after all batches finish the
-reductions run per configuration, in configuration order and then batch
-order, so results are bitwise identical for any thread count and batch
-size.
+batches of all configurations run as one job list on one thread pool of
+min(threads, jobs, CPUs) workers.  Each batch is a pure function of the
+seed, and after all batches finish the reductions run per configuration,
+in configuration order and then batch order, so results are bitwise
+identical for any thread count and batch size.
 
 A batch whose sampled curvatures break the constraints skips the search,
 and its configuration's reduction raises InconsistentStateError.  The
@@ -33,6 +33,7 @@ import csv
 import ctypes
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -304,7 +305,8 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
         samples = 1
     spans = [(lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)]
     jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         batches = list(pool.map(lambda job: _run_batch(cfg, kind, *job), jobs))
     per = len(spans)
     results = [

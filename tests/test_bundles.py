@@ -88,13 +88,21 @@ def test_empty_sum_rejected():
         rank_of(Sum())
 
 
+def test_sum_takes_its_summands_as_arguments():
+    ring = two_generator_ring(1, 1)
+    L = Line(ring.basis_divisor("L"))
+    assert chern_of(Sum(L, L), ring).rank == 2
+    with pytest.raises(InvalidInputError):
+        chern_of(Sum([L, L]), ring)
+
+
 def test_divisor_from_wrong_ring_rejected():
     ring = two_generator_ring(1, 1)
     other = SurfaceRing.from_rows(("A",), [[2]])
     with pytest.raises(InvalidInputError):
         chern_of(Line(other.basis_divisor("A")), ring)
     with pytest.raises(InvalidInputError):
-        chern_of(Line(ring.point_class()), ring)
+        chern_of(Twist(Line(ring.basis_divisor("L")), other.basis_divisor("A")), ring)
 
 
 def test_rank_bookkeeping():

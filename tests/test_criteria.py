@@ -156,12 +156,13 @@ def test_nakai_is_monotone_in_the_curve_list():
     assert not nakai_check(d, [L, H - L], ring).passed
 
 
-def test_nakai_rejects_mixed_degree_classes():
+def test_nakai_rejects_classes_of_another_ring():
     ring = SurfaceRing.from_rows(("H",), [[1]])
+    other = SurfaceRing.from_rows(("L", "H"), [[0, 1], [1, 1]])
     with pytest.raises(InvalidInputError):
-        nakai_check(ring.point_class(), [], ring)
+        nakai_check(other.basis_divisor("H"), [], ring)
     with pytest.raises(InvalidInputError):
-        nakai_check(ring.basis_divisor("H"), [ring.unit()], ring)
+        nakai_check(ring.basis_divisor("H"), [other.basis_divisor("L")], ring)
 
 
 def test_counterexample_rank3_frozen_values():

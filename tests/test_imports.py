@@ -3,8 +3,9 @@ defines is used somewhere else, and every parameter is read by its function.
 
 Stands in for a linter's unused-import, dead-code and unused-argument rules.
 The package __init__ is exempt from the first: its imports are the public
-re-exports.  Also checks that every module attribute the benchmark's tracer
-wraps (perfbench/tracing.py, loaded read-only) still exists.
+re-exports, each listed in __all__.  Also checks that every module
+attribute the benchmark's tracer wraps (perfbench/tracing.py, loaded
+read-only) still exists.
 """
 
 import ast
@@ -38,6 +39,20 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_public_api_matches_its_imports():
+    # a name dropped from a module must leave __all__ and the package's
+    # imports together
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in ample.__all__ if not hasattr(ample, name)] == []
+    assert sorted(n for n in imported if not n.startswith("_") and n not in ample.__all__) == []
 
 
 def _defined(node: ast.stmt) -> list[str]:

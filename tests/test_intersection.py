@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ample.errors import InvalidInputError
-from ample.intersection import (
-    CohClass,
-    SurfaceRing,
-    as_rational,
-    evaluate_on_X,
-    intersect,
-    ring_mul,
-)
+from ample.intersection import SurfaceRing, as_rational, intersect
 
 
 def two_generator_ring(a, b):
@@ -64,35 +57,6 @@ def test_basic_intersection_numbers():
     assert intersect(d, d, ring) == 5
 
 
-def test_unit_is_neutral_and_point_class_evaluates():
-    ring = two_generator_ring(2, 1)
-    d = ring.divisor({"L": 1, "H": 3}) + ring.point_class(Fraction(5, 2))
-    assert ring_mul(ring.unit(), d, ring) == d
-    assert evaluate_on_X(d) == Fraction(5, 2)
-    assert evaluate_on_X(ring.point_class()) == 1
-
-
-def test_product_truncates_above_top_degree():
-    ring = two_generator_ring(1, 1)
-    p = ring.point_class()
-    H = ring.basis_divisor("H")
-    assert ring_mul(p, H, ring).is_zero()
-    assert ring_mul(p, p, ring).is_zero()
-
-
-def test_mixed_degree_product_expands_bilinearly():
-    ring = two_generator_ring(2, 1)
-    L = ring.basis_divisor("L")
-    H = ring.basis_divisor("H")
-    u = L.scale(Fraction(1, 2)) + ring.unit().scale(3)
-    w = H + ring.point_class(7)
-    prod = ring_mul(u, w, ring)
-    # (3 + L/2)(H + 7pt) = 3H + (L.H)/2 pt + 21 pt
-    assert prod.deg0 == 0
-    assert prod.deg2 == (Fraction(0), Fraction(3))
-    assert prod.deg4 == Fraction(1, 2) * 2 + 21
-
-
 def test_pairing_bilinearity_random():
     rng = random.Random(20260821)
     for _ in range(200):
@@ -111,25 +75,10 @@ def test_pairing_bilinearity_random():
         assert intersect(a.scale(s) + b, c, ring) == s * intersect(a, c, ring) + intersect(b, c, ring)
 
 
-def test_ring_mul_is_commutative_and_associative_random():
-    rng = random.Random(7)
-    ring = two_generator_ring(Fraction(3, 2), -2)
-
-    def rand_class():
-        return CohClass(
-            Fraction(rng.randint(-3, 3)),
-            (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))),
-            Fraction(rng.randint(-3, 3)),
-        )
-
-    for _ in range(100):
-        a, b, c = rand_class(), rand_class(), rand_class()
-        assert ring_mul(a, b, ring) == ring_mul(b, a, ring)
-        assert ring_mul(ring_mul(a, b, ring), c, ring) == ring_mul(a, ring_mul(b, c, ring), ring)
-
-
 def test_class_arity_must_match_ring():
     ring = two_generator_ring(1, 1)
     other = SurfaceRing.from_rows(("A",), [[1]])
     with pytest.raises(InvalidInputError):
-        ring_mul(other.basis_divisor("A"), ring.basis_divisor("L"), ring)
+        intersect(other.basis_divisor("A"), ring.basis_divisor("L"), ring)
+    with pytest.raises(InvalidInputError):
+        intersect(ring.basis_divisor("L"), other.basis_divisor("A"), ring)

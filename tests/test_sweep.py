@@ -1,4 +1,5 @@
 import csv
+import os
 import platform
 import subprocess
 import sys
@@ -66,6 +67,31 @@ def test_sweep_independent_of_thread_count_and_batch_size():
         base = sweep(SMALL)
         for changes in ({"threads": 4}, {"batch_size": 1}, {"batch_size": 7}, {"batch_size": 13, "threads": 3}):
             assert sweep(replace(SMALL, **changes)) == base, changes
+
+
+def test_pool_never_has_more_workers_than_jobs_or_cpus(monkeypatch):
+    # a stand-in pool that records its size and maps serially, so that a
+    # million requested threads start none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", SerialPool)
+    cfg = replace(SMALL, ranks=(2,), epsilons=(0.0,), batch_size=1, threads=10**6)
+    assert run_gap_sweep(replace(cfg, samples=1)).passed
+    assert run_gap_sweep(replace(cfg, samples=3)).passed
+    assert sizes == [1, min(3, os.cpu_count() or 1)]
 
 
 def test_sweep_without_random_vectors_reports_the_search_alone():
