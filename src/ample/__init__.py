@@ -1,7 +1,17 @@
-"""Ampleness criteria for vector bundles on compact complex surfaces."""
+"""Ampleness criteria for vector bundles on compact complex surfaces.
+
+The exact layer (intersection, bundles, criteria, config, cli, report) needs
+only the standard library.  The floating-point layer (curvature, spheremin,
+sweep) needs numpy, so its public names are resolved by __getattr__ on
+first access, which imports the module that defines the name: ``import
+ample`` and every exact command leave numpy unloaded, and the first sweep
+loads it.
+"""
+
+import importlib
 
 from .bundles import BundleExpr, ChernData, Dual, Line, Sum, Twist, chern_of, is_semistable_split, rank_of, split_slopes
-from .config import RunConfig, config_from_mapping, parse_config
+from .config import RunConfig, SweepConfig, config_from_mapping, parse_config
 from .criteria import (
     Assertions,
     Counterexample,
@@ -14,35 +24,53 @@ from .criteria import (
     lubke_coefficient,
     nakai_check,
 )
-from .curvature import (
-    PointCurvature,
-    PointwiseGapResult,
-    chern_densities,
-    error_term_density,
-    lagrange_max,
-    lagrange_max_numeric,
-    lubke_constant,
-    pointwise_gap,
-    projectively_flat,
-    residuals,
-    sample_curvature,
-    unitary_conjugate,
-    validate,
-    wedge_density,
-)
 from .errors import AmpleError, ConfigError, InconsistentStateError, InvalidInputError
 from .intersection import CohClass, SurfaceRing, as_rational, intersect
-from .spheremin import MinGapResult, griffiths_min, min_gap_over_v
-from .sweep import (
-    LagrangeCheckResult,
-    SweepConfig,
-    SweepResult,
-    export_histograms,
-    replay_worst,
-    run_gap_sweep,
-    run_griffiths_sweep,
-    run_lagrange_check,
-)
+
+# public names of the floating-point layer and the module defining each
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PointCurvature",
+            "PointwiseGapResult",
+            "chern_densities",
+            "error_term_density",
+            "lagrange_max",
+            "lagrange_max_numeric",
+            "lubke_constant",
+            "pointwise_gap",
+            "projectively_flat",
+            "residuals",
+            "sample_curvature",
+            "unitary_conjugate",
+            "validate",
+            "wedge_density",
+        ),
+        "curvature",
+    ),
+    **dict.fromkeys(("MinGapResult", "griffiths_min", "min_gap_over_v"), "spheremin"),
+    **dict.fromkeys(
+        (
+            "LagrangeCheckResult",
+            "SweepResult",
+            "export_histograms",
+            "replay_worst",
+            "run_gap_sweep",
+            "run_griffiths_sweep",
+            "run_lagrange_check",
+        ),
+        "sweep",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
 
 __version__ = "0.3.0"
 

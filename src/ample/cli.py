@@ -14,7 +14,12 @@ key it writes), its runner and its summary line.  The argument parser, flag
 merging, config parsing, the AMPLE_SEED override, dispatch and the summary
 are all loops over that table, so adding a command means writing its runner
 and adding one entry.  Runners call the library by its module-level names
-here, looked up at call time.
+here, looked up at call time, so a replacement installed on this module (a
+tracer, a test double) is the one called.  The exact layer's names are
+imported with this module.  The sweep runners' names (run_gap_sweep,
+run_griffiths_sweep, run_lagrange_check, export_histograms) are resolved by
+the module's __getattr__ on first use, which imports sweep and numpy; exact
+commands therefore never load the floating-point layer.
 """
 
 from __future__ import annotations
@@ -39,13 +44,22 @@ from .criteria import (
 from .errors import AmpleError, ConfigError
 from .intersection import CohClass, SurfaceRing
 from .report import render
-from .sweep import (
-    SweepResult,
-    export_histograms,
-    run_gap_sweep,
-    run_griffiths_sweep,
-    run_lagrange_check,
-)
+
+# the floating-point layer's entry points, module attributes that
+# __getattr__ imports from sweep, and with it numpy, on first use; a bare
+# global lookup never reaches __getattr__, so runners read them off _module
+_SWEEP_NAMES = ("export_histograms", "run_gap_sweep", "run_griffiths_sweep", "run_lagrange_check")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+
+    value = globals()[name] = getattr(sweep, name)
+    return value
+
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -175,11 +189,11 @@ def _epsilon(cfg: RunConfig) -> tuple[dict, str, list[str]]:
 def _sweep(cfg: RunConfig, sweep, value_key: str, **extra) -> tuple[dict, str, list[str]]:
     res = sweep(cfg.sweep)
     if cfg.csv_path:
-        export_histograms(res, cfg.csv_path)
+        _module.export_histograms(res, cfg.csv_path)
     return {**_sweep_results(res, value_key), **extra}, ("pass" if res.passed else "fail"), []
 
 
-def _sweep_results(res: SweepResult, value_key: str) -> dict:
+def _sweep_results(res, value_key: str) -> dict:
     configs = []
     for c in res.results:
         worst = {
@@ -205,7 +219,7 @@ def _sweep_results(res: SweepResult, value_key: str) -> dict:
 
 
 def _lagrange(cfg: RunConfig) -> tuple[dict, str, list[str]]:
-    res = run_lagrange_check(cfg.samples, cfg.seed)
+    res = _module.run_lagrange_check(cfg.samples, cfg.seed)
     results = {
         "samples": res.samples,
         "seed": res.seed,
@@ -293,14 +307,14 @@ COMMANDS = {
     "verify-lemma": Command(
         "Monte Carlo verification of the pointwise curvature inequality",
         ("sweep", "csv_path"),
-        lambda cfg: _sweep(cfg, run_gap_sweep, "min_gap", threshold=cfg.sweep.threshold),
+        lambda cfg: _sweep(cfg, _module.run_gap_sweep, "min_gap", threshold=cfg.sweep.threshold),
         "verify-lemma: {verdict} (min gap = {results[min_gap]:.6g})",
         flags=_SWEEP_FLAGS,
     ),
     "griffiths": Command(
         "Monte Carlo minimum of the curvature form's smallest eigenvalue",
         ("sweep", "csv_path"),
-        lambda cfg: _sweep(cfg, run_griffiths_sweep, "min_eigenvalue"),
+        lambda cfg: _sweep(cfg, _module.run_griffiths_sweep, "min_eigenvalue"),
         "griffiths: {verdict} (min eigenvalue = {results[min_eigenvalue]:.6g})",
         flags=_SWEEP_FLAGS,
     ),

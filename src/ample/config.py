@@ -13,9 +13,11 @@ parsed: _KEYS lists every key once, with its parser and whether it is
 required, in the order keys are read.  A new command that only reuses
 existing keys needs nothing here; a new key needs a RunConfig field and a
 _KEYS row, plus an entry in cli._ECHO if the report should echo it: cli.run
-leaves every key without one out of the report's inputs.  The integer
-bounds of the sweep object come from sweep.INT_MINIMUMS, the table
-SweepConfig checks too.
+leaves every key without one out of the report's inputs.  The sweep object
+parses into a SweepConfig, defined here together with INT_MINIMUMS, the
+table of its integer bounds that the parser and SweepConfig both check.
+Neither needs numpy, so parsing a config never loads the floating-point
+layer (curvature, spheremin, sweep); sweep imports SweepConfig from here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,56 @@ from .bundles import BundleExpr, Dual, Line, Sum, Twist
 from .criteria import Assertions
 from .errors import ConfigError, InvalidInputError
 from .intersection import CohClass, SurfaceRing, as_rational
-from .sweep import INT_MINIMUMS, SweepConfig
+
+# lower bound of each integer SweepConfig field, in the order a config
+# document's sweep object is read
+INT_MINIMUMS = {
+    "samples": 1,
+    "seed": 0,
+    "restarts": 1,
+    "random_vectors": 0,
+    "iterations": 1,
+    "batch_size": 1,
+    "threads": 1,
+    "histogram_bins": 1,
+}
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Parameters of one sweep invocation.
+
+    mode "random" draws `samples` independent curvatures per configuration;
+    mode "projectively-flat" evaluates the single equality-case curvature
+    per rank (epsilon and samples are forced to 0 and 1).
+    """
+
+    ranks: tuple[int, ...]
+    epsilons: tuple[float, ...] = (0.0,)
+    samples: int = 1000
+    seed: int = 0
+    restarts: int = 5
+    random_vectors: int = 10
+    iterations: int = 60
+    tol: float = 1e-6
+    threshold: float = 1e-9
+    batch_size: int = 4096
+    threads: int = 1
+    mode: str = "random"
+    histogram_bins: int = 40
+
+    def __post_init__(self):
+        if not self.ranks or any(r < 2 for r in self.ranks):
+            raise InvalidInputError("ranks must be a nonempty list of integers >= 2")
+        if not self.epsilons or any(not (math.isfinite(e) and e >= 0) for e in self.epsilons):
+            raise InvalidInputError("epsilons must be nonempty with entries >= 0")
+        for name, minimum in INT_MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise InvalidInputError(f"{name} must be >= {minimum}")
+        if self.tol <= 0:
+            raise InvalidInputError("tol must be positive")
+        if self.mode not in ("random", "projectively-flat"):
+            raise InvalidInputError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

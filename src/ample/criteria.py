@@ -161,8 +161,8 @@ def nakai_check(
     """Check d^2 > 0 and d.C > 0 for each supplied curve class C.
 
     An empty curve list passes (vacuously) with a warning recorded, since
-    the test then says nothing about curves at all.  A class whose number
-    of coordinates differs from the ring's rank raises InvalidInputError.
+    the test then says nothing about curves at all.  A class of another
+    ring, even one of the same rank, raises InvalidInputError.
     """
     d_sq = intersect(d, d, ring)
     degrees = tuple(intersect(d, c, ring) for c in curves)

@@ -3,14 +3,15 @@
 A :class:`SurfaceRing` is a finite divisor basis together with the symmetric
 matrix of intersection numbers of the basis divisors, evaluated against the
 fundamental class.  Its elements are :class:`CohClass` values, divisor
-classes given by their coordinates in that basis, and :func:`intersect` is
-their pairing: the intersection number of two divisors.  All arithmetic is
-exact (``fractions.Fraction``).
+classes given by their coordinates in that basis together with the ring
+they belong to, and :func:`intersect` is their pairing: the intersection
+number of two divisors of the same ring.  All arithmetic is exact
+(``fractions.Fraction``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -39,14 +40,20 @@ def as_rational(x: RatLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CohClass:
-    """Divisor class: its coordinates in the divisor basis of a surface ring."""
+    """Divisor class: its coordinates in the divisor basis of a surface ring, and that ring.
+
+    Classes are made by SurfaceRing.divisor and the ring's other
+    constructors; a class of one ring never meets a class or the pairing of
+    another, even one of the same rank.
+    """
 
     deg2: tuple[Fraction, ...]
+    ring: SurfaceRing = field(repr=False)
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        if len(self.deg2) != len(other.deg2):
-            raise InvalidInputError("cannot add classes from rings of different rank")
-        return CohClass(tuple(a + b for a, b in zip(self.deg2, other.deg2)))
+        if not _same_ring(self.ring, other.ring):
+            raise InvalidInputError("cannot add classes from different rings")
+        return CohClass(tuple(a + b for a, b in zip(self.deg2, other.deg2)), self.ring)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
@@ -56,7 +63,7 @@ class CohClass:
 
     def scale(self, c: RatLike) -> "CohClass":
         c = as_rational(c)
-        return CohClass(tuple(c * x for x in self.deg2))
+        return CohClass(tuple(c * x for x in self.deg2), self.ring)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.deg2)
@@ -99,7 +106,7 @@ class SurfaceRing:
         return len(self.basis_names)
 
     def zero(self) -> CohClass:
-        return CohClass((Fraction(0),) * self.k)
+        return CohClass((Fraction(0),) * self.k, self)
 
     def divisor(self, coords: dict[str, RatLike] | list | tuple) -> CohClass:
         """Divisor class from coordinates, given as a vector or a name->value map."""
@@ -114,16 +121,22 @@ class SurfaceRing:
                     f"divisor vector has length {len(coords)}, ring has rank {self.k}"
                 )
             vec = tuple(as_rational(x) for x in coords)
-        return CohClass(vec)
+        return CohClass(vec, self)
 
     def basis_divisor(self, name: str) -> CohClass:
         return self.divisor({name: 1})
 
 
+def _same_ring(a: SurfaceRing, b: SurfaceRing) -> bool:
+    # identity first: the classes of one config all come from its one ring,
+    # so on the CLI's path this is O(1)
+    return a is b or a == b
+
+
 def intersect(a: CohClass, b: CohClass, ring: SurfaceRing) -> Fraction:
     """Intersection number of two divisor classes through the pairing matrix."""
-    if len(a.deg2) != ring.k or len(b.deg2) != ring.k:
-        raise InvalidInputError("class does not belong to this ring (wrong rank)")
+    if not (_same_ring(a.ring, ring) and _same_ring(b.ring, ring)):
+        raise InvalidInputError("class does not belong to this ring")
     total = Fraction(0)
     for i, ai in enumerate(a.deg2):
         if ai == 0:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import SweepConfig
 from .curvature import (
     OPTIMIZER_TOL,
     PointCurvature,
@@ -70,57 +71,6 @@ from .spheremin import (
 
 RANDOM_SOURCE = "random-vector"
 ADVERSARIAL_SOURCE = "adversarial"
-
-# lower bound of each integer SweepConfig field, in the order a config
-# document's sweep object is read
-INT_MINIMUMS = {
-    "samples": 1,
-    "seed": 0,
-    "restarts": 1,
-    "random_vectors": 0,
-    "iterations": 1,
-    "batch_size": 1,
-    "threads": 1,
-    "histogram_bins": 1,
-}
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of one sweep invocation.
-
-    mode "random" draws `samples` independent curvatures per configuration;
-    mode "projectively-flat" evaluates the single equality-case curvature
-    per rank (epsilon and samples are forced to 0 and 1).
-    """
-
-    ranks: tuple[int, ...]
-    epsilons: tuple[float, ...] = (0.0,)
-    samples: int = 1000
-    seed: int = 0
-    restarts: int = 5
-    random_vectors: int = 10
-    iterations: int = 60
-    tol: float = 1e-6
-    threshold: float = 1e-9
-    batch_size: int = 4096
-    threads: int = 1
-    mode: str = "random"
-    histogram_bins: int = 40
-
-    def __post_init__(self):
-        if not self.ranks or any(r < 2 for r in self.ranks):
-            raise InvalidInputError("ranks must be a nonempty list of integers >= 2")
-        if not self.epsilons or any(not (math.isfinite(e) and e >= 0) for e in self.epsilons):
-            raise InvalidInputError("epsilons must be nonempty with entries >= 0")
-        for name, minimum in INT_MINIMUMS.items():
-            if getattr(self, name) < minimum:
-                raise InvalidInputError(f"{name} must be >= {minimum}")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be positive")
-        if self.mode not in ("random", "projectively-flat"):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
-
 
 @dataclass(frozen=True)
 class WorstRecord:

@@ -409,6 +409,55 @@ def test_exact_command_output_is_pinned(capsys, tmp_path, command):
     assert (code, out, err) == (expect_code, expect_out, expect_err)
 
 
+# Runs in a fresh interpreter: each GOLDEN document through the library path
+# (config_from_mapping -> cli.run -> render) and through `python -m ample`,
+# then one small sweep; prints the reports and which float-layer modules
+# were loaded before and after the sweep.
+FRESH_CHILD = """
+import contextlib, io, json, runpy, sys
+from ample import cli
+from ample.config import config_from_mapping
+from ample.report import render
+
+FLOAT_LAYER = ("numpy", "ample.sweep", "ample.spheremin", "ample.curvature")
+jobs = json.loads(sys.stdin.read())
+out = {"library": {}, "module": {}}
+for command, doc, path in jobs:
+    out["library"][command] = render(cli.run(config_from_mapping({"command": command, **doc}))[1])
+    sys.argv = ["ample", command, "--config", path]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            runpy.run_module("ample", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    out["module"][command] = [code, stdout.getvalue(), stderr.getvalue()]
+out["exact"] = [m for m in FLOAT_LAYER if m in sys.modules]
+sweep = {"command": "verify-lemma", "sweep": {"ranks": [2], "samples": 4, "iterations": 5}}
+out["sweep_verdict"] = cli.run(config_from_mapping(sweep))[1]["verdict"]
+out["after_sweep"] = [m for m in FLOAT_LAYER if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_exact_commands_never_load_the_float_layer(tmp_path):
+    jobs = [
+        (command, doc, write_config(tmp_path, doc, f"{command}.json"))
+        for command, (doc, *_) in sorted(GOLDEN.items())
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CHILD], input=json.dumps(jobs), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    for command, (_, code, stdout, stderr) in GOLDEN.items():
+        assert out["library"][command] == stdout
+        assert out["module"][command] == [code, stdout, stderr]
+    assert out["exact"] == []
+    assert out["sweep_verdict"] == "pass"
+    assert out["after_sweep"] == ["numpy", "ample.sweep", "ample.spheremin", "ample.curvature"]
+
+
 @pytest.mark.parametrize(
     "command, epsilon, samples",
     [

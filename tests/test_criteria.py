@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ample.bundles import ChernData
+from ample.bundles import ChernData, Line, Sum, chern_of
 from ample.criteria import (
     Assertions,
     build_counterexample,
@@ -14,7 +14,7 @@ from ample.criteria import (
     nakai_check,
 )
 from ample.errors import InvalidInputError
-from ample.intersection import SurfaceRing
+from ample.intersection import SurfaceRing, intersect
 
 ALL = Assertions(c1_positive=True, ample_on_curves=True, semistable=True)
 
@@ -197,3 +197,54 @@ def test_counterexample_input_validation():
         build_counterexample(3, 0)
     with pytest.raises(InvalidInputError):
         build_counterexample(3, "-1/2")
+
+
+def closed_form_gap(lines, ring):
+    """(c1^2 - r(r-1)T)/(r^2-2r+2) and T = sum(-D_i^2), for L_i = c1/r + D_i of equal slopes."""
+    r = len(lines)
+    c1 = sum(lines[1:], lines[0])
+    ds = [d - c1.scale(Fraction(1, r)) for d in lines]
+    assert sum(ds[1:], ds[0]).is_zero()
+    assert all(intersect(d, c1, ring) == 0 for d in ds)
+    t = -sum(intersect(d, d, ring) for d in ds)
+    # Cauchy-Schwarz on the negative-definite complement of c1
+    assert all(r * -intersect(d, d, ring) <= (r - 1) * t for d in ds)
+    return (intersect(c1, c1, ring) - r * (r - 1) * t) / (r * r - 2 * r + 2), t
+
+
+def test_lubke_gap_closed_form_on_hodge_index_lattices():
+    # ring diag(p, -n_2, ..., -n_rho), c1 = m r e_1 and L_i = c1/r + D_i with
+    # the D_i in the negative part and summing to 0, so every slope L_i.c1 is
+    # c1^2/r; a positive gap then forces every L_i^2 = c1^2/r^2 + D_i^2 > 0
+    rng = random.Random(221002763)
+    signs = {True: 0, False: 0}
+    for _ in range(400):
+        rho, r = rng.randint(2, 4), rng.randint(2, 6)
+        diag = [rng.randint(1, 4)] + [-rng.randint(1, 4) for _ in range(rho - 1)]
+        ring = SurfaceRing.from_rows(
+            tuple(f"e{i}" for i in range(rho)),
+            [[diag[i] if i == j else 0 for j in range(rho)] for i in range(rho)],
+        )
+        m = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        ds = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rho - 1)] for _ in range(r - 1)]
+        ds.append([-sum(column) for column in zip(*ds)])
+        lines = [ring.divisor([m, *d]) for d in ds]
+        report = check_criterion(chern_of(Sum(*map(Line, lines)), ring), ALL)
+        gap, t = closed_form_gap(lines, ring)
+        assert report.c1_sq == (m * r) ** 2 * diag[0] > 0
+        assert t >= 0
+        assert report.lubke_gap == gap
+        if gap > 0:
+            assert all(intersect(d, d, ring) > 0 for d in lines)
+        signs[gap > 0] += 1
+    assert min(signs.values()) >= 100, signs
+
+
+def test_boundary_family_is_the_equality_case_of_the_closed_form():
+    for r in range(3, 7):
+        ce = build_counterexample(r, Fraction(r + 1, 2))
+        ell, aitch = ce.ring.basis_divisor("L"), ce.ring.basis_divisor("H")
+        gap, t = closed_form_gap([ell] + [aitch] * (r - 1), ce.ring)
+        assert gap == check_criterion(ce.chern, ALL).lubke_gap == 0
+        assert t > 0
+        assert intersect(ell, ell, ce.ring) == 0

@@ -1,5 +1,7 @@
 """Every name a module imports is used in that module, every name a module
 defines is used somewhere else, and every parameter is read by its function.
+No module outside the floating-point layer imports numpy or that layer when
+it is imported.
 
 Stands in for a linter's unused-import, dead-code and unused-argument rules.
 The package __init__ is exempt from the first: its imports are the public
@@ -18,6 +20,7 @@ import ample
 PACKAGE = Path(ample.__file__).parent
 TESTS = Path(__file__).parent
 TRACING = TESTS.parent / "perfbench" / "tracing.py"
+FLOAT_LAYER = ("curvature", "spheremin", "sweep")  # the modules that need numpy
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -43,7 +46,8 @@ def test_no_unused_imports():
 
 def test_public_api_matches_its_imports():
     # a name dropped from a module must leave __all__ and the package's
-    # imports together
+    # imports, or its lazy names, together; each lazy name resolves to the
+    # object its module defines
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imported = {
         alias.asname or alias.name
@@ -51,8 +55,53 @@ def test_public_api_matches_its_imports():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    public = imported | set(ample._LAZY)
     assert [name for name in ample.__all__ if not hasattr(ample, name)] == []
-    assert sorted(n for n in imported if not n.startswith("_") and n not in ample.__all__) == []
+    assert sorted(n for n in public if not n.startswith("_") and n not in ample.__all__) == []
+    assert sorted(set(ample._LAZY.values())) == list(FLOAT_LAYER)
+    wrong = [
+        name
+        for name, module in ample._LAZY.items()
+        if getattr(ample, name) is not getattr(importlib.import_module(f"ample.{module}"), name)
+    ]
+    assert wrong == []
+
+
+def _is_float_layer(module: str) -> bool:
+    top, _, rest = module.partition(".")
+    return top == "numpy" or (top == "ample" and rest.partition(".")[0] in FLOAT_LAYER)
+
+
+def _float_imports(path: Path) -> list[str]:
+    """Imports of numpy or a float-layer module that run when the module is imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # runs only when called
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(["ample"] * (node.level > 0) + [node.module] * bool(node.module))
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        found += [f"{path.name}:{node.lineno}: {m}" for m in modules if _is_float_layer(m)][:1]
+    return found
+
+
+def test_exact_layer_never_imports_the_float_layer():
+    # every module outside the float layer loads with `import ample`, which
+    # must not pay for numpy; a function may import the float layer on call
+    exact = sorted(p for p in PACKAGE.glob("*.py") if p.stem not in FLOAT_LAYER)
+    assert {"bundles", "intersection", "criteria", "config", "cli", "report", "errors"} <= {
+        p.stem for p in exact
+    }
+    found = [entry for path in exact for entry in _float_imports(path)]
+    assert found == []
 
 
 def _defined(node: ast.stmt) -> list[str]:

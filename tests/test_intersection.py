@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from ample.bundles import Line, Sum, chern_of
+from ample.criteria import nakai_check
 from ample.errors import InvalidInputError
 from ample.intersection import SurfaceRing, as_rational, intersect
 
@@ -82,3 +84,26 @@ def test_class_arity_must_match_ring():
         intersect(other.basis_divisor("A"), ring.basis_divisor("L"), ring)
     with pytest.raises(InvalidInputError):
         intersect(ring.basis_divisor("L"), other.basis_divisor("A"), ring)
+
+
+def test_a_class_of_another_ring_of_the_same_rank_is_rejected():
+    r = SurfaceRing.from_rows(("A", "B"), [[0, 1], [1, 1]])
+    o = SurfaceRing.from_rows(("A", "B"), [[5, 0], [0, -3]])
+    oa, ob = o.basis_divisor("A"), o.basis_divisor("B")
+    with pytest.raises(InvalidInputError):
+        intersect(oa, oa, r)  # 0 in r, 5 in o
+    with pytest.raises(InvalidInputError):
+        intersect(r.basis_divisor("A"), oa, r)
+    with pytest.raises(InvalidInputError):
+        nakai_check(ob, [], r)  # B^2 = 1 in r, -3 in o
+    with pytest.raises(InvalidInputError):
+        nakai_check(r.basis_divisor("B"), [ob], r)
+    with pytest.raises(InvalidInputError):
+        chern_of(Sum(Line(oa), Line(ob)), r)
+    with pytest.raises(InvalidInputError):
+        r.basis_divisor("A") + ob
+    assert intersect(oa, oa, o) == 5
+    assert nakai_check(ob, [], o).self_intersection == -3
+    # a ring with the same basis and pairing is the same ring
+    twin = SurfaceRing.from_rows(("A", "B"), [[5, 0], [0, -3]])
+    assert intersect(oa + twin.basis_divisor("B"), oa, twin) == 5

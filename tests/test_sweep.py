@@ -11,12 +11,11 @@ import pytest
 
 from ample import spheremin
 from ample import sweep as sweep_module
-from ample.config import config_from_mapping
+from ample.config import INT_MINIMUMS, config_from_mapping
 from ample.curvature import pointwise_gap
 from ample.errors import ConfigError, InconsistentStateError, InvalidInputError
 from ample.sweep import (
     ADVERSARIAL_SOURCE,
-    INT_MINIMUMS,
     RANDOM_SOURCE,
     SweepConfig,
     export_histograms,
