@@ -8,7 +8,8 @@ twist by M adds M to each line, and the dual negates each line.  The Chern
 data are read off that splitting: rank r, c1 = sum of the d_i, and c2 the
 second elementary symmetric function of the d_i, evaluated on X as
 (c1^2 - sum of d_i^2)/2.  Every product here is the intersection number of
-two divisor classes, so c2 and c1^2 are stored as exact rationals.
+two divisor classes in the ring those classes carry, so no function here
+takes a ring, and c2 and c1^2 are stored as exact rationals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .intersection import CohClass, SurfaceRing, intersect
+from .intersection import CohClass, intersect
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,12 @@ def _lines(expr: BundleExpr) -> list[CohClass]:
     raise InvalidInputError(f"not a bundle expression: {type(expr).__name__}")
 
 
-def chern_of(expr: BundleExpr, ring: SurfaceRing) -> ChernData:
-    """Chern data of a bundle expression over the given ring, from the lines it splits into."""
+def chern_of(expr: BundleExpr) -> ChernData:
+    """Chern data of a bundle expression, from the lines it splits into."""
     lines = _lines(expr)
     c1 = sum(lines[1:], lines[0])
-    c1_sq = intersect(c1, c1, ring)
-    c2 = (c1_sq - sum(intersect(d, d, ring) for d in lines)) / 2
+    c1_sq = intersect(c1, c1)
+    c2 = (c1_sq - sum(intersect(d, d) for d in lines)) / 2
     return ChernData(len(lines), c1, c2, c1_sq)
 
 
@@ -86,11 +87,7 @@ def rank_of(expr: BundleExpr) -> int:
     return len(_lines(expr))
 
 
-def split_slopes(
-    summands: list[CohClass],
-    polarization: CohClass,
-    ring: SurfaceRing,
-) -> list[Fraction]:
+def split_slopes(summands: list[CohClass], polarization: CohClass) -> list[Fraction]:
     """Intersection number of each summand class with the polarization class.
 
     For a direct sum of line bundles every summand is both a subsheaf and a
@@ -99,14 +96,10 @@ def split_slopes(
     """
     if polarization.is_zero():
         raise InvalidInputError("polarization must be nonzero")
-    return [intersect(d, polarization, ring) for d in summands]
+    return [intersect(d, polarization) for d in summands]
 
 
-def is_semistable_split(
-    summands: list[CohClass],
-    polarization: CohClass,
-    ring: SurfaceRing,
-) -> bool:
+def is_semistable_split(summands: list[CohClass], polarization: CohClass) -> bool:
     """True when all summand slopes with respect to the polarization agree."""
-    slopes = split_slopes(summands, polarization, ring)
+    slopes = split_slopes(summands, polarization)
     return all(s == slopes[0] for s in slopes)

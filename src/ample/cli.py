@@ -4,9 +4,10 @@ Reads a JSON config (see config.py), dispatches to the library, and prints
 one canonical-JSON report document to stdout; a one-line human summary goes
 to stderr.  Flags mirror config keys and take precedence over the file.
 Exit status: 0 when the command's check passed, 1 when it ran but failed,
-2 for config errors, 3 for domain errors inside a command.  The AMPLE_SEED
-environment variable, when set, overrides the seed of seed-consuming
-commands so CI can shuffle runs without editing configs.
+2 for config errors, 3 for domain errors inside a command and for results
+too long to print.  The AMPLE_SEED environment variable, when set,
+overrides the seed of seed-consuming commands so CI can shuffle runs
+without editing configs.
 
 Every command is one entry of the COMMANDS table: its help line, the config
 keys it accepts, defaults for some of them, its flags (each names the config
@@ -76,25 +77,25 @@ def _ring_doc(ring: SurfaceRing) -> dict:
     }
 
 
-def _divisor_doc(d: CohClass, ring: SurfaceRing) -> dict:
-    return {name: coord for name, coord in zip(ring.basis_names, d.deg2)}
+def _divisor_doc(d: CohClass) -> dict:
+    return dict(zip(d.ring.basis_names, d.deg2))
 
 
-def _bundle_doc(expr: BundleExpr, ring: SurfaceRing) -> dict:
+def _bundle_doc(expr: BundleExpr) -> dict:
     if isinstance(expr, Line):
-        return {"kind": "line", "divisor": _divisor_doc(expr.divisor, ring)}
+        return {"kind": "line", "divisor": _divisor_doc(expr.divisor)}
     if isinstance(expr, Sum):
         return {
             "kind": "sum",
-            "summands": [_bundle_doc(x, ring) for x in expr.summands],
+            "summands": [_bundle_doc(x) for x in expr.summands],
         }
     if isinstance(expr, Twist):
         return {
             "kind": "twist",
-            "bundle": _bundle_doc(expr.bundle, ring),
-            "divisor": _divisor_doc(expr.divisor, ring),
+            "bundle": _bundle_doc(expr.bundle),
+            "divisor": _divisor_doc(expr.divisor),
         }
-    return {"kind": "dual", "bundle": _bundle_doc(expr.bundle, ring)}
+    return {"kind": "dual", "bundle": _bundle_doc(expr.bundle)}
 
 
 def _sweep_doc(cfg: RunConfig) -> dict:
@@ -110,10 +111,10 @@ def _sweep_doc(cfg: RunConfig) -> dict:
 # every key without an entry, as it does csv_path, which names an output file
 _ECHO = {
     "ring": lambda cfg: _ring_doc(cfg.ring),
-    "bundle": lambda cfg: _bundle_doc(cfg.bundle, cfg.ring),
+    "bundle": lambda cfg: _bundle_doc(cfg.bundle),
     "assertions": lambda cfg: dict(vars(cfg.assertions)),
-    "divisor": lambda cfg: _divisor_doc(cfg.divisor, cfg.ring),
-    "curves": lambda cfg: [_divisor_doc(c, cfg.ring) for c in cfg.curves],
+    "divisor": lambda cfg: _divisor_doc(cfg.divisor),
+    "curves": lambda cfg: [_divisor_doc(c) for c in cfg.curves],
     "sweep": _sweep_doc,
     **{key: attrgetter(key) for key in ("r", "a", "omega_sq", "samples", "seed")},
 }
@@ -126,10 +127,10 @@ _ECHO = {
 def _criterion(cfg: RunConfig, criterion) -> tuple[dict, str, list[str]]:
     # the results are the report's fields but the verdict, plus c1, with
     # each hypothesis marked asserted or unknown
-    cd = chern_of(cfg.bundle, cfg.ring)
+    cd = chern_of(cfg.bundle)
     results = dict(vars(criterion(cd, cfg.assertions)))
     verdict = results.pop("verdict")
-    results["c1"] = _divisor_doc(cd.c1, cfg.ring)
+    results["c1"] = _divisor_doc(cd.c1)
     results["assertions"] = {
         name: ("asserted" if flag else "unknown") for name, flag in vars(cfg.assertions).items()
     }
@@ -139,13 +140,9 @@ def _criterion(cfg: RunConfig, criterion) -> tuple[dict, str, list[str]]:
 
 
 def _nakai(cfg: RunConfig) -> tuple[dict, str, list[str]]:
-    rep = nakai_check(cfg.divisor, list(cfg.curves), cfg.ring)
-    results = {
-        "self_intersection": rep.self_intersection,
-        "curve_degrees": list(rep.curve_degrees),
-        "note": rep.note,
-    }
-    return results, ("pass" if rep.passed else "fail"), list(rep.warnings)
+    results = dict(vars(nakai_check(cfg.divisor, list(cfg.curves))))
+    passed, warnings = results.pop("passed"), results.pop("warnings")
+    return results, ("pass" if passed else "fail"), list(warnings)
 
 
 def _counterexample(cfg: RunConfig) -> tuple[dict, str, list[str]]:
@@ -156,21 +153,13 @@ def _counterexample(cfg: RunConfig) -> tuple[dict, str, list[str]]:
         "c1_sq": ce.chern.c1_sq_value,
         "c2": ce.chern.c2_value,
         "slopes": list(ce.slopes),
-        "identities": [
-            {
-                "name": chk.name,
-                "expected": chk.expected,
-                "actual": chk.actual,
-                "holds": chk.holds,
-            }
-            for chk in ce.identities
-        ],
+        "identities": [{**vars(chk), "holds": chk.holds} for chk in ce.identities],
     }
     return results, ("pass" if ce.all_hold() else "fail"), []
 
 
 def _epsilon(cfg: RunConfig) -> tuple[dict, str, list[str]]:
-    cd = chern_of(cfg.bundle, cfg.ring)
+    cd = chern_of(cfg.bundle)
     value = epsilon_choice(cd, cfg.omega_sq)
     results = {
         "rank": cd.rank,
@@ -219,20 +208,8 @@ def _sweep_results(res, value_key: str) -> dict:
 
 
 def _lagrange(cfg: RunConfig) -> tuple[dict, str, list[str]]:
-    res = _module.run_lagrange_check(cfg.samples, cfg.seed)
-    results = {
-        "samples": res.samples,
-        "seed": res.seed,
-        "max_abs_diff": res.max_abs_diff,
-        "worst": {
-            "rank": res.worst.rank,
-            "mu": res.worst.mu,
-            "b_diag": list(res.worst.b_diag),
-            "closed_form": res.worst.closed_form,
-            "numeric": res.worst.numeric,
-        },
-    }
-    return results, ("pass" if res.passed else "fail"), []
+    results = asdict(_module.run_lagrange_check(cfg.samples, cfg.seed))
+    return results, ("pass" if results.pop("passed") else "fail"), []
 
 
 class Flag(NamedTuple):
@@ -338,6 +315,10 @@ COMMANDS = {
 }
 
 
+def _error_results(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one parsed config; returns (exit status, report document)."""
     spec = COMMANDS[cfg.command]
@@ -345,8 +326,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     try:
         results, verdict, warnings = spec.run(cfg)
     except AmpleError as exc:
-        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        verdict, warnings = "error", []
+        results, verdict, warnings = _error_results(exc), "error", []
     report = {
         "command": cfg.command,
         "inputs": inputs,
@@ -470,7 +450,14 @@ def main(argv: list[str] | None = None) -> int:
 
     code, report = run(cfg)
     report["warnings"] = env_warnings + report["warnings"]
-    text = render(report)
+    try:
+        text = render(report)
+    except ValueError as exc:
+        # a result render cannot print: an integer past Python's int-to-str
+        # digit limit, which a product of inputs under it can reach
+        code = EXIT_ERROR
+        report.update(results=_error_results(exc), verdict="error", warnings=env_warnings)
+        text = render(report)
     sys.stdout.write(text)
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:

@@ -1,11 +1,11 @@
 """Config-document parsing for the command-line front end.
 
-Configs are JSON objects.  Rationals are written as integers or "p/q"
-strings (floats are rejected wherever exactness matters); divisor classes
-are objects mapping basis names to rationals; bundles are nested objects
-tagged by "kind".  Every key is checked: anything unknown for the active
-command is an error naming the offending JSON path, so a typo cannot
-silently fall back to a default.
+Configs are JSON objects.  Rationals are written as integers, "p/q" or
+decimal strings (floats and exponent notation are rejected wherever
+exactness matters); divisor classes are objects mapping basis names to
+rationals; bundles are nested objects tagged by "kind".  Every key is
+checked: anything unknown for the active command is an error naming the
+offending JSON path, so a typo cannot silently fall back to a default.
 
 Which top-level keys a command accepts, and its defaults, come from its
 entry in the command table, cli.COMMANDS.  This module owns how each key is

@@ -9,7 +9,8 @@ ampleness on every curve, semistability with respect to the determinant);
 those enter as caller-supplied assertions and the verdict vocabulary keeps
 them visible instead of folding them into a boolean.  Every number these
 tests compare (c1^2, c2, (c1^2 - c2).X, d^2, d.C) is computed from
-intersection numbers of divisor classes (intersection.intersect).
+intersection numbers of divisor classes (intersection.intersect), in the
+ring the classes carry; no check here takes a ring beside them.
 
 All comparisons are strict and exact.  The boundary is genuinely unsafe: for
 every rank r >= 3 there is a split bundle with equal slopes whose Lubke gap
@@ -155,17 +156,15 @@ class NakaiReport:
     note: str = "necessary conditions over the supplied curve list; not a full ampleness decision"
 
 
-def nakai_check(
-    d: CohClass, curves: list[CohClass], ring: SurfaceRing
-) -> NakaiReport:
+def nakai_check(d: CohClass, curves: list[CohClass]) -> NakaiReport:
     """Check d^2 > 0 and d.C > 0 for each supplied curve class C.
 
     An empty curve list passes (vacuously) with a warning recorded, since
-    the test then says nothing about curves at all.  A class of another
-    ring, even one of the same rank, raises InvalidInputError.
+    the test then says nothing about curves at all.  A curve of another
+    ring than d's, even one of the same rank, raises InvalidInputError.
     """
-    d_sq = intersect(d, d, ring)
-    degrees = tuple(intersect(d, c, ring) for c in curves)
+    d_sq = intersect(d, d)
+    degrees = tuple(intersect(d, c) for c in curves)
     warnings: tuple[str, ...] = ()
     if not curves:
         warnings = ("empty curve list: only the self-intersection condition was tested",)
@@ -218,8 +217,8 @@ def build_counterexample(r: int, a: RatLike) -> Counterexample:
     ell = ring.basis_divisor("L")
     aitch = ring.basis_divisor("H")
     bundle = Sum(Line(ell), *(Line(aitch) for _ in range(r - 1)))
-    cd = chern_of(bundle, ring)
-    slopes = tuple(split_slopes([ell] + [aitch] * (r - 1), cd.c1, ring))
+    cd = chern_of(bundle)
+    slopes = tuple(split_slopes([ell] + [aitch] * (r - 1), cd.c1))
     gap = cd.c1_sq_value - lubke_coefficient(r) * cd.c2_value
     identities = (
         IdentityCheck("c1_sq", r * (r - 1) * a, cd.c1_sq_value),

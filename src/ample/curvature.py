@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .criteria import lubke_coefficient
 from .errors import InconsistentStateError, InvalidInputError
 
 Seed = int | tuple[int, ...]
@@ -367,8 +368,8 @@ def batch_lhs_density(coeff: np.ndarray) -> np.ndarray:
 
 
 def lubke_constant(r: int) -> float:
-    """Float value of the criterion coefficient 2r(r-1)/(r^2-2r+2)."""
-    return 2.0 * r * (r - 1) / (r * r - 2 * r + 2)
+    """Float value of the criterion coefficient 2r(r-1)/(r^2-2r+2), correctly rounded."""
+    return float(lubke_coefficient(r))
 
 
 def error_term_density(r: int, epsilon: float) -> float:

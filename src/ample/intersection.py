@@ -5,8 +5,9 @@ matrix of intersection numbers of the basis divisors, evaluated against the
 fundamental class.  Its elements are :class:`CohClass` values, divisor
 classes given by their coordinates in that basis together with the ring
 they belong to, and :func:`intersect` is their pairing: the intersection
-number of two divisors of the same ring.  All arithmetic is exact
-(``fractions.Fraction``).
+number of two divisors of the same ring, read off that ring's pairing.  No
+function takes a ring beside a class; each reads the ring from the class.
+All arithmetic is exact (``fractions.Fraction``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ RatLike = Fraction | int | str
 
 
 def as_rational(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or "p/q" or decimal string to an exact Fraction.
 
     Floats are rejected on purpose: every quantity in this module is exact.
+    So is exponent notation, which Fraction expands before any digit limit
+    applies: "1e999999999" would build a billion-digit integer.
     """
     if isinstance(x, Fraction):
         return x
@@ -31,6 +34,8 @@ def as_rational(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise InvalidInputError(f"exponent notation is not accepted, got {x!r}")
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -133,15 +138,15 @@ def _same_ring(a: SurfaceRing, b: SurfaceRing) -> bool:
     return a is b or a == b
 
 
-def intersect(a: CohClass, b: CohClass, ring: SurfaceRing) -> Fraction:
-    """Intersection number of two divisor classes through the pairing matrix."""
-    if not (_same_ring(a.ring, ring) and _same_ring(b.ring, ring)):
-        raise InvalidInputError("class does not belong to this ring")
+def intersect(a: CohClass, b: CohClass) -> Fraction:
+    """Intersection number of two divisor classes of one ring, through its pairing matrix."""
+    if not _same_ring(a.ring, b.ring):
+        raise InvalidInputError("cannot intersect classes from different rings")
     total = Fraction(0)
     for i, ai in enumerate(a.deg2):
         if ai == 0:
             continue
-        row = ring.pairing[i]
+        row = a.ring.pairing[i]
         for j, bj in enumerate(b.deg2):
             if bj != 0:
                 total += ai * row[j] * bj

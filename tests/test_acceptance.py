@@ -67,8 +67,8 @@ def test_ac2_semistability_equivalence():
                 ell = ring.basis_divisor("L")
                 aitch = ring.basis_divisor("H")
                 summands = [ell] + [aitch] * (r - 1)
-                cd = chern_of(Sum(Line(ell), *(Line(aitch) for _ in range(r - 1))), ring)
-                slopes = split_slopes(summands, cd.c1, ring)
+                cd = chern_of(Sum(Line(ell), *(Line(aitch) for _ in range(r - 1))))
+                slopes = split_slopes(summands, cd.c1)
                 ok &= max(slopes) != min(slopes)
                 checked += 1
     dt = time.perf_counter() - t0
@@ -182,16 +182,16 @@ def test_ac8_whitney_splitting_oracle():
             ring.divisor([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in names])
             for _ in range(k)
         ]
-        cd = chern_of(Sum(*(Line(d) for d in divisors)), ring)
+        cd = chern_of(Sum(*(Line(d) for d in divisors)))
         e1 = divisors[0]
         for d in divisors[1:]:
             e1 = e1 + d
         e2 = sum(
-            (intersect(divisors[i], divisors[j], ring) for i in range(k) for j in range(i + 1, k)),
+            (intersect(divisors[i], divisors[j]) for i in range(k) for j in range(i + 1, k)),
             Fraction(0),
         )
         ok &= cd.c1.deg2 == e1.deg2
-        ok &= cd.c1_sq_value == intersect(e1, e1, ring)
+        ok &= cd.c1_sq_value == intersect(e1, e1)
         ok &= cd.c2_value == e2
     dt = time.perf_counter() - t0
     report_line(

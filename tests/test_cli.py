@@ -146,6 +146,48 @@ def test_config_that_is_not_json_text_exits_2(capsys, tmp_path, text):
     assert json.loads(err)["error"]["message"].startswith(f"{path}: cannot decode JSON: ")
 
 
+@pytest.mark.parametrize(
+    "argv, doc, path",
+    [
+        (
+            ["epsilon"],
+            {"ring": P2, "bundle": split_bundle({"h": "1"}, {"h": "1"}), "omega_sq": "1e5000"},
+            "omega_sq",
+        ),
+        (
+            ["check"],
+            {"ring": {"basis": ["h"], "pairing": [["1E5000"]]}, "bundle": split_bundle({"h": "1"})},
+            "ring.pairing[0][0]",
+        ),
+        (["counterexample", "-r", "3", "-a", "1e5000"], {}, "a"),
+    ],
+    ids=["epsilon", "check", "counterexample-flag"],
+)
+def test_rationals_in_exponent_notation_exit_2(capsys, tmp_path, argv, doc, path):
+    # Fraction expands an exponent before Python's int-to-str digit limit
+    # applies, so "1e5000" would parse and leave a report that cannot print
+    code, out, err = invoke(capsys, [*argv, "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"{path}: exponent notation is not accepted")
+
+
+def test_a_result_past_the_digit_limit_exits_3_with_an_error_report(capsys, tmp_path):
+    # inputs of 2501 digits give a c1^2 of 7501, past Python's 4300-digit
+    # limit on int-to-str conversion
+    big = "1" + "0" * 2500
+    ring = {"basis": ["h"], "pairing": [[big]]}
+    doc = {"ring": ring, "bundle": split_bundle({"h": big}, {"h": big})}
+    code, report, err = report_of(
+        capsys, ["check", "--config", write_config(tmp_path, doc)], expect_code=3
+    )
+    assert report["verdict"] == "error"
+    assert report["results"]["error"]["type"] == "ValueError"
+    assert report["inputs"]["ring"]["pairing"] == [[big]]
+    assert err.startswith("check: error (ValueError: Exceeds the limit (4300 digits)")
+
+
 def test_bundle_nested_past_the_walks_exits_2(tmp_path):
     # 984 duals is shallow enough for the JSON decoder but deep enough to
     # exhaust the recursion limit in a recursive walk of the bundle; run as

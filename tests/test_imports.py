@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every name a module
 defines is used somewhere else, and every parameter is read by its function.
 No module outside the floating-point layer imports numpy or that layer when
-it is imported.
+it is imported.  No function takes a ring beside a value that carries one.
 
 Stands in for a linter's unused-import, dead-code and unused-argument rules.
 The package __init__ is exempt from the first: its imports are the public
@@ -167,6 +167,44 @@ def test_every_parameter_is_used():
     modules = sorted(PACKAGE.glob("*.py"))
     unused = [entry for path in modules for entry in _unused_parameters(path)]
     assert unused == []
+
+
+RING_CARRIERS = {"CohClass", "BundleExpr", "ChernData"}  # types whose values hold their ring
+
+
+def _annotation_names(node: ast.AST | None) -> set[str]:
+    names = set()
+    for n in ast.walk(node) if node else ():
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):  # a forward reference
+            names |= _annotation_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def _ring_beside_a_class(path: Path) -> list[str]:
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = fn.args
+            params = [p for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            kinds = [_annotation_names(p.annotation) for p in params]
+            rings = [i for i, k in enumerate(kinds) if "SurfaceRing" in k]
+            carriers = [i for i, k in enumerate(kinds) if k & RING_CARRIERS]
+            if any(i != j for i in rings for j in carriers):
+                out.append(f"{path.stem}.{fn.name}")
+    return out
+
+
+def test_no_function_takes_a_ring_beside_a_class():
+    # a divisor class, a bundle built from classes and its Chern data each
+    # carry their ring, so a ring passed beside one only restates it; the
+    # config parsers read a ring beside raw JSON values, which is allowed
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [entry for path in modules for entry in _ring_beside_a_class(path)]
+    assert found == []
 
 
 def test_every_traced_call_site_exists(monkeypatch):
