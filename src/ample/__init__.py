@@ -72,7 +72,7 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AmpleError",

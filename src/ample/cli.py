@@ -457,7 +457,12 @@ def main(argv: list[str] | None = None) -> int:
         # digit limit, which a product of inputs under it can reach
         code = EXIT_ERROR
         report.update(results=_error_results(exc), verdict="error", warnings=env_warnings)
-        text = render(report)
+        try:
+            text = render(report)
+        except ValueError:
+            # the echo of the inputs is what cannot print; leave it out
+            report.update(inputs={}, warnings=[*env_warnings, "inputs left out: too long to print"])
+            text = render(report)
     sys.stdout.write(text)
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:

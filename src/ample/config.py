@@ -2,10 +2,11 @@
 
 Configs are JSON objects.  Rationals are written as integers, "p/q" or
 decimal strings (floats and exponent notation are rejected wherever
-exactness matters); divisor classes are objects mapping basis names to
-rationals; bundles are nested objects tagged by "kind".  Every key is
-checked: anything unknown for the active command is an error naming the
-offending JSON path, so a typo cannot silently fall back to a default.
+exactness matters, and so are numbers too long for a report to print);
+divisor classes are objects mapping basis names to rationals; bundles are
+nested objects tagged by "kind".  Every key is checked: anything unknown
+for the active command is an error naming the offending JSON path, so a
+typo cannot silently fall back to a default.
 
 Which top-level keys a command accepts, and its defaults, come from its
 entry in the command table, cli.COMMANDS.  This module owns how each key is
@@ -317,8 +318,10 @@ def decode_json(document: str | bytes, where: str = ""):
         raise ConfigError(
             f"{where}malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
-        # bytes that are not UTF-8, or nesting deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8 (UnicodeDecodeError is a ValueError), an
+        # integer literal past Python's int-from-str digit limit, or nesting
+        # deeper than the decoder recurses
         raise ConfigError(f"{where}cannot decode JSON: {exc}") from exc
 
 

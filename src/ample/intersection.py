@@ -12,6 +12,7 @@ All arithmetic is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,22 +26,48 @@ def as_rational(x: RatLike) -> Fraction:
 
     Floats are rejected on purpose: every quantity in this module is exact.
     So is exponent notation, which Fraction expands before any digit limit
-    applies: "1e999999999" would build a billion-digit integer.
+    applies: "1e999999999" would build a billion-digit integer.  An int or a
+    string whose numerator or denominator has more digits than Python's
+    int-to-str limit allows is rejected too, since no report could print it:
+    a decimal string of 4300 digits either side of the point has an
+    8600-digit numerator.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise InvalidInputError(f"expected an exact rational, got {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        # an integer of b bits has at most b // 3 + 1 digits
+        return _printable(Fraction(x), x.bit_length() // 3 + 1)
     if isinstance(x, str):
         if "e" in x or "E" in x:
             raise InvalidInputError(f"exponent notation is not accepted, got {x!r}")
         try:
-            return Fraction(x.strip())
+            value = Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational from {x!r}: {exc}") from None
+        # neither the numerator nor the denominator has more digits than x
+        return _printable(value, len(x))
     raise InvalidInputError(f"expected an exact rational, got {type(x).__name__}")
+
+
+# Python's int-to-str digit limit, 0 for none; Python 3.10 before 3.10.7 has none
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _printable(q: Fraction, max_digits: int) -> Fraction:
+    """q, unless its numerator or denominator has more digits than str() prints.
+
+    max_digits bounds both digit counts from above, so that only a long
+    input pays for the exact comparison.
+    """
+    limit = _max_str_digits()
+    if limit and max_digits > limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise InvalidInputError(
+            f"a rational with more than {limit} digits in its numerator or denominator"
+            " is not accepted"
+        )
+    return q
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ sphere, and the positivity checker minimizes the smallest eigenvalue of the
 normalized curvature form.  Both objectives are smooth ratios of quadratic
 forms, invariant under scaling of v, so the sphere is the natural domain and
 a retracted gradient step is enough: its length is the Barzilai-Borwein step
-of the last accepted move (Barzilai & Borwein 1988; Wen & Yin 2013 for
-spheres), halved on each step that fails a per-row Armijo test.  No
-general-purpose optimizer dependency is warranted for an r <= 10 problem.
+of the last accepted move (Barzilai & Borwein 1988), halved on each step
+that fails a per-row nonmonotone Armijo test against a running weighted mean
+of the row's accepted values (Zhang & Hager 2004), the pairing that Wen & Yin
+(2013) use on spheres.  No general-purpose optimizer dependency is
+warranted for an r <= 10 problem.
 
 Everything here is batched over n instances with S starts each, one row per
 (instance, start) pair, and rows never interact.  Blocks come in and go out
@@ -35,6 +37,7 @@ from .curvature import (
 from .errors import InvalidInputError
 
 ARMIJO_C = 1e-4
+NONMONOTONE_GAMMA = 0.85  # weight decay of the Zhang-Hager reference value
 ETA0 = 0.25
 ETA_MAX = 4.0
 ETA_MIN = 1e-10
@@ -159,23 +162,28 @@ def minimize_on_sphere(
     iterations: int = 100,
     tol: float = 1e-8,
 ):
-    """Monotone retracted-gradient descent, one row per (instance, start) pair.
+    """Nonmonotone retracted-gradient descent, one row per (instance, start) pair.
 
     M holds the form matrices of n instances, V0 their S starts each, shape
     (n, S, r).  Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S),
     with V normalized.  Each iteration tries one step of length eta along
-    the tangent gradient, retracted to the sphere, and accepts it under the
-    Armijo test.  A rejected step halves eta; after an accepted move s, with
-    y the change of the tangent gradient, eta becomes the Barzilai-Borwein
-    step <s, s>/Re<s, y>, clipped to [ETA_MIN, ETA_MAX], and ETA_MAX where
-    Re<s, y> <= 0.  A row is converged when its tangent gradient norm falls
-    below tol or its step size collapses; rows that hit the iteration cap
-    keep converged = False.  Accepted steps only ever decrease f, so the
-    final f never exceeds the value at the corresponding start.
+    the tangent gradient t, retracted to the sphere, and accepts it when
+    f(W) <= C - ARMIJO_C eta |t|^2 for the row's reference value C (Zhang &
+    Hager).  C starts at f(V0) with weight Q = 1; an accepted step sets
+    Q <- NONMONOTONE_GAMMA Q + 1 and moves C to the weighted mean
+    (NONMONOTONE_GAMMA Q_old C + f(W)) / Q.  A rejected step halves eta;
+    after an accepted move s, with y the change of the tangent gradient, eta
+    becomes the Barzilai-Borwein step <s, s>/Re<s, y>, clipped to
+    [ETA_MIN, ETA_MAX], and ETA_MAX where Re<s, y> <= 0.  A row is converged
+    when its tangent gradient norm falls below tol or its step size
+    collapses; rows that hit the iteration cap keep converged = False.  An
+    accepted f may exceed the f before it, but never C, and C never
+    increases, so the final f never exceeds the value at the corresponding
+    start and the final iterate is returned as it is.
 
     Rows never interact, so instances are descended descent_chunk(r, S) at a
     time, and stopped rows are dropped on the way; neither changes any value.
-    A step makes 50 to 75 numpy calls whatever the chunk size, most of them
+    A step makes 65 to 85 numpy calls whatever the chunk size, most of them
     on one number or one vector per row, and each call takes and releases
     the GIL.  On chunks of 512 instances at r <= 3 the calls were so short
     that two sweep threads ran no faster than one; larger chunks make each
@@ -211,12 +219,15 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     row of its own, with its own copy of M, row axis innermost in memory.
     Its tangent gradient is row state: computed once at each trial point,
     it serves the stopping test, the next step and the Barzilai-Borwein
-    step.  A stopped row never moves again, so once at most half of the
-    carried rows are still active, the carried rows are written out and only
-    the active ones go on, gathered by _take; their copies of M are gathered
-    afresh from M after the old copies are released.  What is still carried
-    at the end is written out then.  Nothing of one step outlives it, so the
-    peak is the carried rows plus one step's arrays.
+    step; so are its step length and its reference value and weight.  A
+    step is normalized by its norm in closed form, since the tangent
+    gradient is orthogonal to the row.  A stopped row never moves again, so
+    once at most half of the carried rows are still active, the carried rows
+    are written out and only the active ones go on, gathered by _take; their
+    copies of M are gathered afresh from M after the old copies are
+    released.  What is still carried at the end is written out then.
+    Nothing of one step outlives it, so the peak is the carried rows plus
+    one step's arrays.
     """
     n, S, r = V0.shape
     rows = np.arange(n * S)  # flat (instance, start) index of each carried row
@@ -227,6 +238,8 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     f_all = np.empty(n * S)
     converged = np.ones(n * S, dtype=bool)
     eta = np.full((n * S, 1), ETA0)
+    ref = f.copy()  # Zhang-Hager reference value C, a weighted mean of accepted f
+    weight = np.ones((n * S, 1))  # its weight Q
     active = np.ones((n * S, 1), dtype=bool)
     for _ in range(iterations):
         gnorm2 = _dot(tan, tan)
@@ -240,25 +253,34 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
             rows = rows[keep]
             del Mr
             Mr = _take(M, rows // S)
-            V, f, tan, gnorm2, eta, active = (
-                _take(a, keep) for a in (V, f, tan, gnorm2, eta, active)
+            V, f, tan, gnorm2, eta, ref, weight, active = (
+                _take(a, keep) for a in (V, f, tan, gnorm2, eta, ref, weight, active)
             )
-        W = _normalize(V - eta[..., None] * tan)
+        # tan is orthogonal to the unit row V, so V - eta tan has norm rho and
+        # the move s = W - V has <s, s> = 2(rho - 1)/rho, written without the
+        # cancellation of rho - 1
+        decrease = eta * gnorm2  # eta |tan|^2, the scale of the Armijo test
+        h = eta * decrease
+        rho = np.sqrt(1.0 + h)
+        W = (V - eta[..., None] * tan) / rho[..., None]
         fw, tanw = _evaluate(Mr, W, objective)
-        accept = active & (fw <= f - ARMIJO_C * eta * gnorm2)
-        # Barzilai-Borwein step <s, s>/Re<s, y> for the move s and the change
-        # y of the tangent gradient; ETA_MAX where Re<s, y> <= 0 or the step
-        # would exceed it, so that no row divides by zero or overflows
-        s = W - V
-        ss, sy = _dot(s, s), _dot(s, tanw - tan)
-        del s
+        accept = active & (fw <= ref - ARMIJO_C * decrease)
+        # Barzilai-Borwein step <s, s>/Re<s, y> for the change y of the
+        # tangent gradient; ETA_MAX where Re<s, y> <= 0 or the step would
+        # exceed it, so that no row divides by zero or overflows
+        ss = 2.0 * h / (rho * (rho + 1.0))
+        sy = _dot(W - V, tanw - tan)
         bounded = ss < ETA_MAX * sy
         bb = np.where(bounded, np.maximum(ss / np.where(bounded, sy, 1.0), ETA_MIN), ETA_MAX)
         np.copyto(V, W, where=accept[..., None])
         np.copyto(f, fw, where=accept)
         np.copyto(tan, tanw, where=accept[..., None])
         eta = np.where(accept, bb, np.where(active, eta * 0.5, eta))
-        del W, fw, tanw, accept, ss, sy, bounded, bb
+        # Q <- gamma Q + 1 and C <- (gamma Q_old C + f) / Q, written as
+        # C + (f - C) / Q: the same value, and one that never exceeds C
+        weight = np.where(accept, NONMONOTONE_GAMMA * weight + 1.0, weight)
+        ref = np.where(accept, ref + (fw - ref) / weight, ref)
+        del W, fw, tanw, accept, decrease, h, rho, ss, sy, bounded, bb
     V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
     converged[rows] = ~active[:, 0]
     return V_all.reshape(n, S, r), f_all.reshape(n, S), converged.reshape(n, S)

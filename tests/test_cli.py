@@ -188,6 +188,54 @@ def test_a_result_past_the_digit_limit_exits_3_with_an_error_report(capsys, tmp_
     assert err.startswith("check: error (ValueError: Exceeds the limit (4300 digits)")
 
 
+def test_an_integer_literal_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal past Python's 4300-digit limit; the text is put
+    # together by hand, since json.dumps cannot print such an integer
+    path = tmp_path / "config.json"
+    path.write_text('{"command": "counterexample", "r": 3' + "0" * 5000 + ', "a": 1}')
+    code, out, err = invoke(capsys, ["counterexample", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "cannot decode JSON: Exceeds the limit (4300 digits)" in error["message"]
+
+
+def test_a_decimal_rational_too_long_to_print_exits_2(capsys, tmp_path):
+    # 4299 digits either side of the point are each under the digit limit,
+    # but they parse to an 8598-digit numerator that no report could echo
+    omega_sq = "1" * 4299 + "." + "1" * 4299
+    doc = {"ring": P2, "bundle": split_bundle({"h": "3"}, {"h": "2"}), "omega_sq": omega_sq}
+    code, out, err = invoke(capsys, ["epsilon", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("omega_sq: a rational with more than 4300 digits")
+
+
+def test_an_error_report_whose_inputs_cannot_print_leaves_them_out(capsys, monkeypatch):
+    # the exit-3 fallback re-renders the report; when the echo of the inputs
+    # is what cannot print, it renders the error report without it
+    def run_with_unprintable_inputs(cfg):
+        return 0, {
+            "command": cfg.command,
+            "inputs": {"a": 10**5000},
+            "results": {},
+            "verdict": "pass",
+            "warnings": [],
+            "version": cli.__version__,
+        }
+
+    monkeypatch.setattr(cli, "run", run_with_unprintable_inputs)
+    code, report, err = report_of(capsys, ["counterexample", "-r", "3", "-a", "1"], expect_code=3)
+    assert report["inputs"] == {}
+    assert report["verdict"] == "error"
+    assert report["results"]["error"]["type"] == "ValueError"
+    assert report["warnings"] == ["inputs left out: too long to print"]
+    assert err.startswith("counterexample: error (ValueError: Exceeds the limit (4300 digits)")
+
+
 def test_bundle_nested_past_the_walks_exits_2(tmp_path):
     # 984 duals is shallow enough for the JSON decoder but deep enough to
     # exhaust the recursion limit in a recursive walk of the bundle; run as
@@ -386,7 +434,7 @@ GOLDEN = {
         '"results":{"assertions":{"ample_on_curves":"asserted","c1_positive":"asserted",'
         '"semistable":"asserted"},"c1":{"h":"4"},"c1_sq":"16","c1sq_minus_c2":"11",'
         '"c2":"5","lubke_coefficient":"12/5","lubke_gap":"4","rank":3,"st_gap":null},'
-        '"verdict":"hypotheses-satisfied","version":"0.3.0","warnings":[]}\n',
+        '"verdict":"hypotheses-satisfied","version":"0.4.0","warnings":[]}\n',
         "check: hypotheses-satisfied (lubke_gap = 4)\n",
     ),
     "st-check": (
@@ -403,7 +451,7 @@ GOLDEN = {
         '{"ample_on_curves":"unknown","c1_positive":"unknown","semistable":"asserted"},'
         '"c1":{"h":"3"},"c1_sq":"9","c1sq_minus_c2":"7","c2":"2","lubke_coefficient":"2",'
         '"lubke_gap":"5","rank":2,"st_gap":"5"},"verdict":"assertions-missing",'
-        '"version":"0.3.0","warnings":["unverified hypotheses: c1_positive, ample_on_curves"]}\n',
+        '"version":"0.4.0","warnings":["unverified hypotheses: c1_positive, ample_on_curves"]}\n',
         "st-check: assertions-missing (lubke_gap = 5)\n",
     ),
     "nakai": (
@@ -417,7 +465,7 @@ GOLDEN = {
         '"divisor":{"H":"1","L":"1"},"ring":{"basis":["L","H"],"pairing":[["0","1"],'
         '["1","0"]]}},"results":{"curve_degrees":["1","0"],"note":"necessary conditions '
         'over the supplied curve list; not a full ampleness decision","self_intersection":"2"},'
-        '"verdict":"fail","version":"0.3.0","warnings":[]}\n',
+        '"verdict":"fail","version":"0.4.0","warnings":[]}\n',
         "nakai: fail (self-intersection = 2)\n",
     ),
     "counterexample": (
@@ -429,7 +477,7 @@ GOLDEN = {
         '"expected":"0","holds":true,"name":"lubke_gap"},{"actual":"0","expected":"0",'
         '"holds":true,"name":"slope_spread"}],"rank":4,"ring":{"basis":["L","H"],'
         '"pairing":[["0","1/2"],["1/2","1/3"]]},"slopes":["3/2","3/2","3/2","3/2"]},'
-        '"verdict":"pass","version":"0.3.0","warnings":[]}\n',
+        '"verdict":"pass","version":"0.4.0","warnings":[]}\n',
         "counterexample: pass (c1_sq = 6, c2 = 5/2)\n",
     ),
     "epsilon": (
@@ -438,7 +486,7 @@ GOLDEN = {
         '{"command":"epsilon","inputs":{"bundle":{"kind":"sum","summands":[{"divisor":'
         '{"h":"3"},"kind":"line"},{"divisor":{"h":"2"},"kind":"line"}]},"omega_sq":"25",'
         '"ring":{"basis":["h"],"pairing":[["1"]]}},"results":{"c1_sq":"25","c2":"6",'
-        '"epsilon":"26/125","rank":2},"verdict":"pass","version":"0.3.0","warnings":[]}\n',
+        '"epsilon":"26/125","rank":2},"verdict":"pass","version":"0.4.0","warnings":[]}\n',
         "epsilon: 26/125\n",
     ),
 }

@@ -7,11 +7,13 @@ Stands in for a linter's unused-import, dead-code and unused-argument rules.
 The package __init__ is exempt from the first: its imports are the public
 re-exports, each listed in __all__.  Also checks that every module
 attribute the benchmark's tracer wraps (perfbench/tracing.py, loaded
-read-only) still exists.
+read-only) still exists, and that the package and pyproject.toml give the
+same version.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -223,3 +225,11 @@ def test_every_traced_call_site_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_package_version_matches_pyproject():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+    assert version.group(1) == ample.__version__

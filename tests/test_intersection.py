@@ -26,6 +26,16 @@ def test_as_rational_rejects_inexact_and_malformed(bad):
         as_rational(bad)
 
 
+def test_as_rational_rejects_what_a_report_could_not_print():
+    # Python prints integers of up to 4300 digits; a decimal string of that
+    # many digits either side of the point has a numerator twice as long
+    assert as_rational("9" * 4300) == 10**4300 - 1
+    assert as_rational("1/" + "9" * 4300) == Fraction(1, 10**4300 - 1)
+    for bad in (10**4300, -(10**4300), "1" * 4299 + "." + "1" * 4299):
+        with pytest.raises(InvalidInputError, match="more than 4300 digits"):
+            as_rational(bad)
+
+
 def test_ring_validation():
     with pytest.raises(InvalidInputError):
         SurfaceRing.from_rows((), [])

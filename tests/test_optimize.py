@@ -69,6 +69,21 @@ def test_minimizer_never_increases_the_objective():
     assert (f <= f0 + 1e-15).all()
 
 
+def test_descent_returns_unit_vectors_and_their_objective_values():
+    # the descent normalizes each step by its norm in closed form, not by a
+    # measured one; 60 steps leave the rows on the sphere and f the value
+    # at the returned vectors
+    for objective in (det_objective, lmin_objective):
+        for r in (2, 4, 6):
+            uniforms = np.random.default_rng((14, r)).random((200, 4 * r * r - 3))
+            M = form_matrices(build_batch(r, 0.1, uniforms)[0])
+            V0 = basis_and_random_starts(M, objective, 5, (14, r), 0)
+            V, f, _ = minimize_on_sphere(M, V0, objective, iterations=60, tol=1e-12)
+            assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() <= 1e-14
+            direct = objective_values(M, V, objective)
+            assert np.allclose(f, direct, rtol=1e-12, atol=0.0), (objective.__name__, r)
+
+
 def test_minimizer_beats_dense_grid_at_rank_two():
     # at rank 2 a unit vector is (cos t, sin t e^{i p}) up to global phase,
     # so a fine 2d grid brackets the true minimum
@@ -224,7 +239,7 @@ def test_ac4_search_converges_and_reaches_the_long_run_minimum_at_rank_six():
     scale, offsets = gap_scale_offset(r, eps, batch_lhs_density(coeff))
     gap = scale * f.min(axis=1) + offsets
     gap_long = scale * f_long.min(axis=1) + offsets
-    assert converged.all(axis=1).mean() >= 0.5
+    assert converged.all(axis=1).mean() >= 0.9
     assert (gap - gap_long > 1e-6).mean() <= 0.01
 
 
