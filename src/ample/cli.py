@@ -243,7 +243,7 @@ _SWEEP_FLAGS = (
     Flag("--samples", "sweep.samples", dict(type=int, metavar="N", help="samples per configuration")),
     Flag("--seed", "sweep.seed", dict(type=int, metavar="S", help="base seed")),
     Flag("--restarts", "sweep.restarts", dict(type=int, metavar="K", help="adversarial search restarts")),
-    Flag("--threads", "sweep.threads", dict(type=int, metavar="T", help="worker threads")),
+    Flag("--threads", "sweep.threads", dict(type=int, metavar="T", help="parallel workers")),
     Flag("--batch-size", "sweep.batch_size", dict(type=int, metavar="B", help="samples per batch")),
     Flag("--mode", "sweep.mode", dict(choices=("random", "projectively-flat"), help="sampler mode")),
     Flag("--csv", "csv_path", dict(metavar="PATH", help="export per-config histograms as CSV")),

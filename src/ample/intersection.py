@@ -41,14 +41,23 @@ def as_rational(x: RatLike) -> Fraction:
         return _printable(Fraction(x), x.bit_length() // 3 + 1)
     if isinstance(x, str):
         if "e" in x or "E" in x:
-            raise InvalidInputError(f"exponent notation is not accepted, got {x!r}")
+            raise InvalidInputError(f"exponent notation is not accepted, got {_echo(x)}")
         try:
             value = Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot parse rational from {x!r}: {exc}") from None
+        except ValueError:
+            raise InvalidInputError(f"cannot parse rational from {_echo(x)}") from None
+        except ZeroDivisionError:
+            raise InvalidInputError(f"zero denominator in {_echo(x)}") from None
         # neither the numerator nor the denominator has more digits than x
         return _printable(value, len(x))
     raise InvalidInputError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _echo(x: str, limit: int = 40) -> str:
+    """repr(x) for an error message, cut to a prefix and the length past limit characters."""
+    if len(x) <= limit:
+        return repr(x)
+    return f"{x[:limit]!r}... ({len(x)} characters)"
 
 
 # Python's int-to-str digit limit, 0 for none; Python 3.10 before 3.10.7 has none

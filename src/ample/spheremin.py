@@ -187,9 +187,11 @@ def minimize_on_sphere(
     on one number or one vector per row, and each call takes and releases
     the GIL.  On chunks of 512 instances at r <= 3 the calls were so short
     that two sweep threads ran no faster than one; larger chunks make each
-    call longer.  A chunk's memory grows with its rows times r^2, since each
-    row carries its own copy of M, so that product is what the chunk rule
-    bounds.
+    call longer.  On Linux a multi-worker sweep runs its workers as
+    processes, each with a GIL of its own, so there the handoffs are gone;
+    they remain on the thread pool that sweeps use elsewhere.  A chunk's
+    memory grows with its rows times r^2, since each row carries its own
+    copy of M, so that product is what the chunk rule bounds.
     """
     V0 = np.asarray(V0, dtype=np.complex128)
     n, S, r = V0.shape

@@ -14,11 +14,15 @@ touches (see curvature.seeded_draws), so a batch draws all its samples with
 one generator per stream and vector slot, and a sample never depends on the
 batch it falls in.  Configurations are enumerated rank-major over (ranks x
 epsilons).  Work is split into fixed-size batches by sample index, and the
-batches of all configurations run as one job list on one thread pool of
-min(threads, jobs, CPUs) workers.  Each batch is a pure function of the
-seed, and after all batches finish the reductions run per configuration,
-in configuration order and then batch order, so results are bitwise
-identical for any thread count and batch size.
+batches of all configurations run as one job list on min(threads, jobs,
+usable CPUs) workers.  One worker runs the jobs inline in the calling
+thread.  More run, on Linux, in forked worker processes of one pool that
+lives as long as the process, so that batches do not contend for the GIL
+and a worker keeps its heap from one sweep to the next; elsewhere they run
+on a thread pool of the sweep's own.  Each batch is a pure function of the
+seed, and after all batches finish the reductions run in the calling
+process per configuration, in configuration order and then batch order, so
+results are bitwise identical for any worker count and batch size.
 
 A batch whose sampled curvatures break the constraints skips the search,
 and its configuration's reduction raises InconsistentStateError.  The
@@ -29,13 +33,13 @@ sweep's worst samples searches those replays, one batched search per rank.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import ctypes
 import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +61,7 @@ from .curvature import (
     seeded_draws,
     violations,
 )
-from .errors import InconsistentStateError, InvalidInputError
+from .errors import AmpleError, InconsistentStateError, InvalidInputError
 from .spheremin import (
     basis_and_random_starts,
     det_objective,
@@ -231,8 +235,9 @@ def _keep_batch_memory() -> None:
     of its CPU time in the kernel.  With the thresholds set here, the
     largest that glibc's own dynamic rule can reach (M_MMAP_THRESHOLD
     32 MiB, M_TRIM_THRESHOLD twice that), a command faults a few dozen
-    pages.  The setting is process-wide and made once, on the first sweep;
-    elsewhere than glibc on Linux nothing is changed.
+    pages.  The setting is process-wide and made once, on the first sweep,
+    before any worker forks, so that the workers inherit it; elsewhere than
+    glibc on Linux nothing is changed.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -246,6 +251,102 @@ def _keep_batch_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, fewer than the machine's under taskset."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_job(job: tuple):
+    """_run_batch(*job), a module function so that a process pool sends it by name."""
+    return _run_batch(*job)
+
+
+# the pool of multi-worker sweeps on Linux, as (workers, executor)
+_pool = None
+
+
+def _process_pool(workers: int):
+    """This process's pool of `workers` forked sweep workers, made on first use.
+
+    It lives until the process exits; a sweep that asks for another number
+    of workers shuts it down, waiting for its workers, before the new pool
+    forks.  fork, not spawn or forkserver: those re-import __main__, which
+    a script without an `if __name__ == "__main__"` guard does not survive.
+    A forked worker inherits the malloc thresholds of _keep_batch_memory and
+    keeps its heap from one sweep to the next.  Sweeps that run at once in
+    several threads share the pool, so they must ask for the same number of
+    workers.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _close_pool()
+    if _pool is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=fork, initializer=_worker_init))
+    return _pool[1]
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the process pool down, if there is one, waiting for its workers.
+
+    Also run at exit, before the interpreter tears its modules down, which
+    the executor's own clean-up on collection does not survive.
+    """
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+def _worker_init() -> None:
+    """Leave Ctrl-C to the parent, and exit as soon as the parent has.
+
+    A worker waits for jobs on a pipe that it holds both ends of, so a
+    parent killed by a signal would otherwise leave it waiting for ever.
+    """
+    import multiprocessing.connection
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def exit_with_parent():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _map_jobs(jobs: list[tuple], workers: int) -> list:
+    """_run_job over jobs on `workers` workers, with the results in job order.
+
+    One worker runs the jobs inline.  More run on the process pool on Linux
+    and on a thread pool of the sweep's own elsewhere.  A worker that dies
+    is an AmpleError, and the next sweep forks a fresh pool.
+    """
+    if workers == 1:
+        return [_run_job(job) for job in jobs]
+    if not sys.platform.startswith("linux"):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_job, jobs))
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(_process_pool(workers).map(_run_job, jobs))
+    except BrokenProcessPool as exc:
+        _close_pool()
+        raise AmpleError(f"a sweep worker process died: {exc}") from None
+
+
 def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     _keep_batch_memory()
     configs = [(r, e) for r in cfg.ranks for e in cfg.epsilons]
@@ -255,9 +356,8 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
         samples = 1
     spans = [(lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)]
     jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
-    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        batches = list(pool.map(lambda job: _run_batch(cfg, kind, *job), jobs))
+    workers = min(cfg.threads, len(jobs), _usable_cpus())
+    batches = _map_jobs([(cfg, kind, *job) for job in jobs], workers)
     per = len(spans)
     results = [
         _reduce(cfg, ci, r, e, batches[ci * per : (ci + 1) * per])

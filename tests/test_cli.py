@@ -173,6 +173,17 @@ def test_rationals_in_exponent_notation_exit_2(capsys, tmp_path, argv, doc, path
     assert message.startswith(f"{path}: exponent notation is not accepted")
 
 
+def test_a_long_unparsable_rational_gives_a_short_config_error(capsys, tmp_path):
+    doc = {"ring": P2, "bundle": split_bundle({"h": "1"}, {"h": "1"}), "omega_sq": "x" * 5000}
+    code, out, err = invoke(capsys, ["epsilon", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("omega_sq: cannot parse rational from 'xxx")
+    assert len(err) < 200
+
+
 def test_a_result_past_the_digit_limit_exits_3_with_an_error_report(capsys, tmp_path):
     # inputs of 2501 digits give a c1^2 of 7501, past Python's 4300-digit
     # limit on int-to-str conversion
@@ -510,6 +521,7 @@ from ample.config import config_from_mapping
 from ample.report import render
 
 FLOAT_LAYER = ("numpy", "ample.sweep", "ample.spheremin", "ample.curvature")
+POOLS = ("multiprocessing", "concurrent.futures")
 jobs = json.loads(sys.stdin.read())
 out = {"library": {}, "module": {}}
 for command, doc, path in jobs:
@@ -522,10 +534,11 @@ for command, doc, path in jobs:
         except SystemExit as exc:
             code = exc.code
     out["module"][command] = [code, stdout.getvalue(), stderr.getvalue()]
-out["exact"] = [m for m in FLOAT_LAYER if m in sys.modules]
-sweep = {"command": "verify-lemma", "sweep": {"ranks": [2], "samples": 4, "iterations": 5}}
+out["exact"] = [m for m in FLOAT_LAYER + POOLS if m in sys.modules]
+# one job, so one worker however many threads are asked for
+sweep = {"command": "verify-lemma", "sweep": {"ranks": [2], "samples": 4, "iterations": 5, "threads": 2}}
 out["sweep_verdict"] = cli.run(config_from_mapping(sweep))[1]["verdict"]
-out["after_sweep"] = [m for m in FLOAT_LAYER if m in sys.modules]
+out["after_sweep"] = [m for m in FLOAT_LAYER + POOLS if m in sys.modules]
 print(json.dumps(out))
 """
 

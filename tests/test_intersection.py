@@ -36,6 +36,17 @@ def test_as_rational_rejects_what_a_report_could_not_print():
             as_rational(bad)
 
 
+def test_as_rational_errors_echo_a_bounded_prefix_of_long_input():
+    # Fraction's own message would repeat the whole input a second time
+    for bad, reason in (("x" * 5000, "cannot parse rational"), ("1e" + "0" * 4998, "exponent notation")):
+        with pytest.raises(InvalidInputError) as info:
+            as_rational(bad)
+        message = str(info.value)
+        assert message.startswith(reason)
+        assert "(5000 characters)" in message
+        assert len(message) < 200
+
+
 def test_ring_validation():
     with pytest.raises(InvalidInputError):
         SurfaceRing.from_rows((), [])

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import json
 import os
 import platform
+import select
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -69,28 +74,183 @@ def test_sweep_independent_of_thread_count_and_batch_size():
 
 
 def test_pool_never_has_more_workers_than_jobs_or_cpus(monkeypatch):
-    # a stand-in pool that records its size and maps serially, so that a
-    # million requested threads start none
+    # a stand-in pool factory that records its size and maps serially, so
+    # that a million requested workers start none; on eight usable CPUs, a
+    # sweep of one job runs with no pool and one of three jobs asks for three
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", SerialPool)
+    def pool_of(workers):
+        sizes.append(workers)
+        return SerialPool()
+
+    monkeypatch.setattr(sweep_module, "_process_pool", pool_of)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     cfg = replace(SMALL, ranks=(2,), epsilons=(0.0,), batch_size=1, threads=10**6)
     assert run_gap_sweep(replace(cfg, samples=1)).passed
+    assert sizes == []
     assert run_gap_sweep(replace(cfg, samples=3)).passed
-    assert sizes == [1, min(3, os.cpu_count() or 1)]
+    assert sizes == [3]
+
+
+def test_workers_are_capped_by_the_cpus_the_process_may_run_on(monkeypatch):
+    # pinned to one CPU, as by taskset, a two-worker sweep runs inline and
+    # forks nothing, however many CPUs the machine has
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was asked for")
+
+    monkeypatch.setattr(sweep_module, "_process_pool", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert sweep_module._usable_cpus() == 1
+    assert run_griffiths_sweep(replace(SMALL, threads=2)) == run_griffiths_sweep(SMALL)
+
+
+forks_a_pool = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or sweep_module._usable_cpus() < 2,
+    reason="multi-worker sweeps fork a process pool on Linux, given two CPUs",
+)
+
+
+def _worker_pids() -> set[int]:
+    return set(sweep_module._pool[1]._processes)
+
+
+@contextlib.contextmanager
+def _own_session(args, **kwargs):
+    """A child in a session of its own, whose process group is killed at the end."""
+    proc = subprocess.Popen(args, text=True, start_new_session=True, **kwargs)
+    try:
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+
+
+def _live_members(group: int) -> list[int]:
+    """Processes of a process group that have not exited, zombies left out."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    state, _, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:4]
+            except OSError:
+                continue
+            if int(pgrp) == group and state != "Z":
+                live.append(int(entry))
+    return live
+
+
+@forks_a_pool
+def test_no_worker_outlives_the_command(tmp_path):
+    # three configurations of one sample each: three jobs on two workers
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"sweep": {"ranks": [2, 3, 4], "mode": "projectively-flat"}}))
+    argv = [sys.executable, "-m", "ample", "griffiths", "--config", str(path), "--threads", "2"]
+    with _own_session(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err[-500:]
+        assert json.loads(out)["verdict"] == "pass"
+        assert err == "griffiths: pass (min eigenvalue = 0.25)\n"  # and nothing at exit
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+# a process that forks a pool of two workers and then waits with it idle
+IDLE_POOL = """
+import sys
+from ample.sweep import SweepConfig, run_griffiths_sweep
+run_griffiths_sweep(SweepConfig(ranks=(2,), samples=64, batch_size=32, threads=2))
+print("forked", flush=True)
+sys.stdin.read()
+"""
+
+
+def _wait_for_pool(proc) -> None:
+    assert select.select([proc.stdout], [], [], 120)[0], "no sweep within 120 s"
+    assert proc.stdout.readline() == "forked\n"
+    assert len(_live_members(proc.pid)) == 3
+
+
+@forks_a_pool
+def test_ctrl_c_leaves_the_workers_quiet():
+    argv = [sys.executable, "-c", IDLE_POOL]
+    with _own_session(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        _wait_for_pool(proc)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        # the parent's KeyboardInterrupt alone, none from an idle worker
+        assert err.count("Traceback") == 1, err
+        assert err.rstrip().endswith("KeyboardInterrupt")
+
+
+@forks_a_pool
+def test_workers_exit_when_their_parent_is_killed():
+    argv = [sys.executable, "-c", IDLE_POOL]
+    with _own_session(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        _wait_for_pool(proc)
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while _live_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_members(proc.pid) == []
+
+
+@forks_a_pool
+def test_a_dead_worker_is_an_error_and_the_next_sweep_forks_afresh():
+    # a worker of the seed-1 sweep kills itself in its first batch
+    code = """
+import json, os, signal
+from ample import cli, sweep
+from ample.config import config_from_mapping
+
+run_batch = sweep._run_batch
+
+def dies_at_seed_1(cfg, *job):
+    if cfg.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_batch(cfg, *job)
+
+sweep._run_batch = dies_at_seed_1
+out = []
+for seed in (1, 2):
+    sweep_keys = {"ranks": [2, 3], "samples": 8, "batch_size": 4, "threads": 2, "seed": seed}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    out.append([code, report["verdict"], report["results"].get("error")])
+print(json.dumps(out))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    (code, verdict, error), second = json.loads(proc.stdout)
+    assert (code, verdict, error["type"]) == (3, "error", "AmpleError")
+    assert error["message"].startswith("a sweep worker process died")
+    assert second == [0, "pass", None]
+
+
+@forks_a_pool
+def test_consecutive_sweeps_run_on_the_same_workers(monkeypatch):
+    cfg = replace(SMALL, threads=2)
+    first = run_griffiths_sweep(cfg)
+    pids = _worker_pids()
+    assert len(pids) == 2
+    assert run_griffiths_sweep(cfg) == first
+    assert _worker_pids() == pids
+    # another number of workers replaces the pool once the old one has exited
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    assert run_griffiths_sweep(replace(cfg, threads=3)) == first
+    assert len(_worker_pids()) == 3
+    assert not _worker_pids() & pids
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)
+    monkeypatch.undo()
+    assert run_griffiths_sweep(cfg) == first
 
 
 def test_sweep_without_random_vectors_reports_the_search_alone():
@@ -102,26 +262,37 @@ def test_sweep_without_random_vectors_reports_the_search_alone():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
 def test_a_repeated_sweep_reuses_the_memory_of_its_batches():
-    # a fresh process, so that no earlier test has moved malloc's thresholds;
-    # without them each 2048-sample batch faults its working set in afresh,
-    # about 1000 to 3000 pages.  With them a repeated sweep faults almost
-    # none, unless a new worker thread gets a fresh heap, which happens when
-    # the pool's threads start before the last pool's have fully exited;
+    # a fresh process, so that no earlier test has moved malloc's thresholds
+    # and its pool forks after they are set; without them each 2048-sample
+    # batch faults its working set in afresh, about 1000 to 3000 pages.
+    # With them a repeated sweep faults almost none, in the parent or in its
+    # workers, unless a worker meets a larger batch than it has run before;
     # hence the fewest faults of three repetitions
     code = """
 import resource
+from ample import sweep
 from ample.sweep import SweepConfig, run_griffiths_sweep
+
+def faults():
+    # minor faults of this process and of its pool's workers, field 10 of
+    # /proc/<pid>/stat; on one usable CPU the sweep runs inline
+    total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for pid in sweep._pool[1]._processes if sweep._pool else ():
+        with open(f"/proc/{pid}/stat") as fh:
+            total += int(fh.read().rsplit(")", 1)[1].split()[7])
+    return total
+
 cfg = SweepConfig(ranks=(2, 3), epsilons=(0.1,), samples=4096, batch_size=2048,
                   threads=2, restarts=5, random_vectors=10, iterations=60)
 run_griffiths_sweep(cfg)
-faults = []
+counts = []
 for _ in range(3):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = faults()
     run_griffiths_sweep(cfg)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(min(faults))
+    counts.append(faults() - before)
+print(min(counts))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert int(proc.stdout) < 500
 
