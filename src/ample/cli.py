@@ -14,13 +14,15 @@ keys it accepts, defaults for some of them, its flags (each names the config
 key it writes), its runner and its summary line.  The argument parser, flag
 merging, config parsing, the AMPLE_SEED override, dispatch and the summary
 are all loops over that table, so adding a command means writing its runner
-and adding one entry.  Runners call the library by its module-level names
-here, looked up at call time, so a replacement installed on this module (a
-tracer, a test double) is the one called.  The exact layer's names are
-imported with this module.  The sweep runners' names (run_gap_sweep,
-run_griffiths_sweep, run_lagrange_check, export_histograms) are resolved by
-the module's __getattr__ on first use, which imports sweep and numpy; exact
-commands therefore never load the floating-point layer.
+and adding one entry.  A report's inputs echo the command's config keys as
+config._KEYS says, and a sweep's per-configuration rows are its
+ConfigResults as dataclass documents.  Runners call the library by its
+module-level names here, looked up at call time, so a replacement installed
+on this module (a tracer, a test double) is the one called.  The exact
+layer's names are imported with this module.  The sweep runners' names
+(run_gap_sweep, run_griffiths_sweep, run_lagrange_check, export_histograms)
+are resolved by the module's __getattr__ on first use, which imports sweep
+and numpy; exact commands therefore never load the floating-point layer.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .bundles import BundleExpr, Line, Sum, Twist, chern_of
-from .config import RunConfig, config_from_mapping, decode_json
+from .bundles import chern_of
+from .config import MODES, RunConfig, config_from_mapping, decode_json
+from .config import _divisor_doc, _inputs_doc, _ring_doc
 from .criteria import (
     build_counterexample,
     check_criterion,
@@ -43,7 +45,6 @@ from .criteria import (
     nakai_check,
 )
 from .errors import AmpleError, ConfigError
-from .intersection import CohClass, SurfaceRing
 from .report import render
 
 # the floating-point layer's entry points, module attributes that
@@ -68,56 +69,6 @@ EXIT_CONFIG = 2
 EXIT_ERROR = 3
 
 _PASS_VERDICTS = ("pass", "hypotheses-satisfied")
-
-
-def _ring_doc(ring: SurfaceRing) -> dict:
-    return {
-        "basis": list(ring.basis_names),
-        "pairing": [list(row) for row in ring.pairing],
-    }
-
-
-def _divisor_doc(d: CohClass) -> dict:
-    return dict(zip(d.ring.basis_names, d.deg2))
-
-
-def _bundle_doc(expr: BundleExpr) -> dict:
-    if isinstance(expr, Line):
-        return {"kind": "line", "divisor": _divisor_doc(expr.divisor)}
-    if isinstance(expr, Sum):
-        return {
-            "kind": "sum",
-            "summands": [_bundle_doc(x) for x in expr.summands],
-        }
-    if isinstance(expr, Twist):
-        return {
-            "kind": "twist",
-            "bundle": _bundle_doc(expr.bundle),
-            "divisor": _divisor_doc(expr.divisor),
-        }
-    return {"kind": "dual", "bundle": _bundle_doc(expr.bundle)}
-
-
-def _sweep_doc(cfg: RunConfig) -> dict:
-    # threads and batch_size are execution-plan knobs that never change the
-    # results, so they are left out of the echo to keep reports byte-identical
-    # across schedules
-    doc = asdict(cfg.sweep)
-    del doc["threads"], doc["batch_size"]
-    return doc
-
-
-# how each config key is echoed into a report's inputs; run() leaves out
-# every key without an entry, as it does csv_path, which names an output file
-_ECHO = {
-    "ring": lambda cfg: _ring_doc(cfg.ring),
-    "bundle": lambda cfg: _bundle_doc(cfg.bundle),
-    "assertions": lambda cfg: dict(vars(cfg.assertions)),
-    "divisor": lambda cfg: _divisor_doc(cfg.divisor),
-    "curves": lambda cfg: [_divisor_doc(c) for c in cfg.curves],
-    "sweep": _sweep_doc,
-    **{key: attrgetter(key) for key in ("r", "a", "omega_sq", "samples", "seed")},
-}
 
 
 # Runners: cfg -> (results, verdict, warnings).  A runner raises AmpleError
@@ -185,25 +136,10 @@ def _sweep(cfg: RunConfig, sweep, value_key: str, **extra) -> tuple[dict, str, l
 def _sweep_results(res, value_key: str) -> dict:
     configs = []
     for c in res.results:
-        worst = {
-            "seed": list(c.worst.seed),
-            "value": c.worst.value,
-            "v": list(c.worst.v),
-            "source": c.worst.source,
-        }
-        configs.append(
-            {
-                "rank": c.rank,
-                "epsilon": c.epsilon,
-                "samples": c.samples,
-                "min": c.min_value,
-                "mean": c.mean_value,
-                "converged_fraction": c.converged_fraction,
-                "residual_max": dict(c.residual_max),
-                "worst": worst,
-                "histogram": [list(bin_) for bin_ in c.histogram],
-            }
-        )
+        doc = asdict(c)
+        doc["min"], doc["mean"] = doc.pop("min_value"), doc.pop("mean_value")
+        doc["worst"] = {key: doc["worst"][key] for key in ("seed", "value", "v", "source")}
+        configs.append(doc)
     return {value_key: res.min_value, "residual_max": res.residual_max, "configs": configs}
 
 
@@ -245,7 +181,7 @@ _SWEEP_FLAGS = (
     Flag("--restarts", "sweep.restarts", dict(type=int, metavar="K", help="adversarial search restarts")),
     Flag("--threads", "sweep.threads", dict(type=int, metavar="T", help="parallel workers")),
     Flag("--batch-size", "sweep.batch_size", dict(type=int, metavar="B", help="samples per batch")),
-    Flag("--mode", "sweep.mode", dict(choices=("random", "projectively-flat"), help="sampler mode")),
+    Flag("--mode", "sweep.mode", dict(choices=MODES, help="sampler mode")),
     Flag("--csv", "csv_path", dict(metavar="PATH", help="export per-config histograms as CSV")),
 )
 
@@ -322,7 +258,7 @@ def _error_results(exc: Exception) -> dict:
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one parsed config; returns (exit status, report document)."""
     spec = COMMANDS[cfg.command]
-    inputs = {key: _ECHO[key](cfg) for key in spec.keys if key in _ECHO}
+    inputs = _inputs_doc(cfg, spec.keys)
     try:
         results, verdict, warnings = spec.run(cfg)
     except AmpleError as exc:

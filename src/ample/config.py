@@ -10,14 +10,15 @@ typo cannot silently fall back to a default.
 
 Which top-level keys a command accepts, and its defaults, come from its
 entry in the command table, cli.COMMANDS.  This module owns how each key is
-parsed: _KEYS lists every key once, with its parser and whether it is
-required, in the order keys are read.  A new command that only reuses
-existing keys needs nothing here; a new key needs a RunConfig field and a
-_KEYS row, plus an entry in cli._ECHO if the report should echo it: cli.run
-leaves every key without one out of the report's inputs.  The sweep object
-parses into a SweepConfig, defined here together with INT_MINIMUMS, the
-table of its integer bounds that the parser and SweepConfig both check.
-Neither needs numpy, so parsing a config never loads the floating-point
+parsed and how a report's inputs echo it: _KEYS lists every key once, with
+its parser, whether it is required and its echo, in the order keys are
+read; _inputs_doc builds the inputs that cli.run puts in a report.  A new
+command that only reuses existing keys needs nothing here; a new key needs
+a RunConfig field and a _KEYS row.  The sweep object parses into a
+SweepConfig, defined here together with INT_MINIMUMS, the table of its
+integer bounds that the parser and SweepConfig both check, and MODES, the
+sampler modes that SweepConfig and the --mode flag accept.
+None of them needs numpy, so parsing a config never loads the floating-point
 layer (curvature, spheremin, sweep); sweep imports SweepConfig from here.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .bundles import BundleExpr, Dual, Line, Sum, Twist
@@ -46,6 +47,8 @@ INT_MINIMUMS = {
     "threads": 1,
     "histogram_bins": 1,
 }
+
+MODES = ("random", "projectively-flat")  # the sampler modes of a sweep
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class SweepConfig:
                 raise InvalidInputError(f"{name} must be >= {minimum}")
         if self.tol <= 0:
             raise InvalidInputError("tol must be positive")
-        if self.mode not in ("random", "projectively-flat"):
+        if self.mode not in MODES:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
 
 
@@ -218,8 +221,6 @@ def _parse_bundle(value, path: str, ring: SurfaceRing, depth: int = 0) -> Bundle
 
 
 def _parse_assertions(value, path: str) -> Assertions:
-    if value is None:
-        return Assertions()
     obj = _object(value, path)
     flags = {}
     for name in (f.name for f in fields(Assertions)):
@@ -264,23 +265,61 @@ def _ringless(parse, *args):
     return lambda value, path, ring: parse(value, path, *args)
 
 
-# every top-level key as (key, parser(value, path, ring), required), in the
-# order keys are read; ring comes first because bundle, divisor and curves
-# are read in its basis
+def _ring_doc(ring: SurfaceRing) -> dict:
+    return {"basis": list(ring.basis_names), "pairing": [list(row) for row in ring.pairing]}
+
+
+def _divisor_doc(d: CohClass) -> dict:
+    return dict(zip(d.ring.basis_names, d.deg2))
+
+
+def _bundle_doc(expr: BundleExpr) -> dict:
+    if isinstance(expr, Line):
+        return {"kind": "line", "divisor": _divisor_doc(expr.divisor)}
+    if isinstance(expr, Sum):
+        return {"kind": "sum", "summands": [_bundle_doc(x) for x in expr.summands]}
+    if isinstance(expr, Twist):
+        bundle, divisor = _bundle_doc(expr.bundle), _divisor_doc(expr.divisor)
+        return {"kind": "twist", "bundle": bundle, "divisor": divisor}
+    return {"kind": "dual", "bundle": _bundle_doc(expr.bundle)}
+
+
+def _sweep_doc(sweep: SweepConfig) -> dict:
+    # threads and batch_size are execution-plan knobs that never change the
+    # results, so they are left out of the echo to keep reports byte-identical
+    # across schedules
+    doc = asdict(sweep)
+    del doc["threads"], doc["batch_size"]
+    return doc
+
+
+def _as_is(value):
+    return value
+
+
+# every top-level key as (key, parser(value, path, ring), required, echo), in
+# the order keys are read; ring comes first because bundle, divisor and
+# curves are read in its basis.  echo(value) is the key's entry in a
+# report's inputs; csv_path, which names an output file, has none
 _KEYS = (
-    ("ring", _ringless(_parse_ring), True),
-    ("bundle", _parse_bundle, True),
-    ("assertions", _ringless(_parse_assertions), False),
-    ("divisor", _parse_divisor, True),
-    ("curves", _parse_curves, False),
-    ("sweep", _ringless(_parse_sweep), True),
-    ("r", _ringless(_int, 3), True),
-    ("a", _ringless(_rational), True),
-    ("omega_sq", _ringless(_rational), True),
-    ("samples", _ringless(_int, 1), False),
-    ("seed", _ringless(_int, 0), False),
-    ("csv_path", _ringless(_string), False),
+    ("ring", _ringless(_parse_ring), True, _ring_doc),
+    ("bundle", _parse_bundle, True, _bundle_doc),
+    ("assertions", _ringless(_parse_assertions), False, asdict),
+    ("divisor", _parse_divisor, True, _divisor_doc),
+    ("curves", _parse_curves, False, lambda curves: [_divisor_doc(c) for c in curves]),
+    ("sweep", _ringless(_parse_sweep), True, _sweep_doc),
+    ("r", _ringless(_int, 3), True, _as_is),
+    ("a", _ringless(_rational), True, _as_is),
+    ("omega_sq", _ringless(_rational), True, _as_is),
+    ("samples", _ringless(_int, 1), False, _as_is),
+    ("seed", _ringless(_int, 0), False, _as_is),
+    ("csv_path", _ringless(_string), False, None),
 )
+
+
+def _inputs_doc(cfg: RunConfig, keys: tuple[str, ...]) -> dict:
+    """A report's inputs: the echo of each of keys, the keys cfg's command accepts."""
+    return {key: echo(getattr(cfg, key)) for key, _, _, echo in _KEYS if key in keys and echo}
 
 
 def config_from_mapping(document: dict) -> RunConfig:
@@ -298,7 +337,7 @@ def config_from_mapping(document: dict) -> RunConfig:
         _string(out_path, "output_path")
 
     fields = {"command": command, "output_path": out_path, **spec.defaults}
-    for key, parse, required in _KEYS:
+    for key, parse, required, _ in _KEYS:
         if key not in spec.keys:
             continue
         if key in obj:

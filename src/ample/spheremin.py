@@ -17,6 +17,12 @@ as (n, S, ...) arrays; the descent carries each pair as a row of its own,
 and works through the instances in chunks sized by r and S (descent_chunk).
 That makes sweep results independent of how batches are scheduled and makes
 more restarts a strict superset of fewer.
+
+An objective takes q, the (n, S, 2, 2) block of forms q_ab = <v, M_ab v> at
+unit vectors v, and returns f, its coefficients (c00, c11, c01, c10) and its
+radial term (f times its degree in q), each (n, S).  The gradient of f in
+the conjugate coordinates of v is c00 M00 v + c11 M11 v - c01 M01 v -
+c10 M10 v - radial v, which only _evaluate assembles.
 """
 
 from __future__ import annotations
@@ -63,20 +69,14 @@ def _q(V: np.ndarray, Mv: np.ndarray) -> np.ndarray:
     return np.einsum("nsi,nsabi->nsab", np.conj(V), Mv)
 
 
-def det_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
-    """det of the 2x2 form matrix, with its conjugate-coordinate gradient."""
+def det_objective(q: np.ndarray):
+    """det of the 2x2 form matrix q, with its gradient coefficients."""
     f = (q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]).real
-    # accumulated in place, term by term in the order of the formula
-    grad = q[..., 1, 1, None] * Mv[:, :, 0, 0]
-    grad += q[..., 0, 0, None] * Mv[:, :, 1, 1]
-    grad -= q[..., 1, 0, None] * Mv[:, :, 0, 1]
-    grad -= q[..., 0, 1, None] * Mv[:, :, 1, 0]
-    grad -= 2.0 * f[..., None] * V
-    return f, grad
+    return f, (q[..., 1, 1], q[..., 0, 0], q[..., 1, 0], q[..., 0, 1]), 2.0 * f
 
 
-def lmin_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
-    """Smallest eigenvalue of the 2x2 form matrix, with subgradient at ties."""
+def lmin_objective(q: np.ndarray):
+    """Smallest eigenvalue of the 2x2 form matrix q, with subgradient coefficients at ties."""
     q00 = q[..., 0, 0].real
     q11 = q[..., 1, 1].real
     q01 = q[..., 0, 1]
@@ -86,16 +86,9 @@ def lmin_objective(V: np.ndarray, Mv: np.ndarray, q: np.ndarray):
     # at a double eigenvalue the objective is not differentiable; any
     # subgradient works for descent, take the symmetric one
     inv = np.where(s > 1e-18, 1.0 / np.maximum(s, 1e-300), 0.0)
-    c00 = 0.5 - 0.5 * half_diff * inv
-    c11 = 0.5 + 0.5 * half_diff * inv
-    c01 = -0.5 * np.conj(q01) * inv
-    # accumulated in place, term by term in the order of the formula
-    grad = c00[..., None] * Mv[:, :, 0, 0]
-    grad += c11[..., None] * Mv[:, :, 1, 1]
-    grad += c01[..., None] * Mv[:, :, 0, 1]
-    grad += np.conj(c01)[..., None] * Mv[:, :, 1, 0]
-    grad -= f[..., None] * V
-    return f, grad
+    c00, c11 = 0.5 - 0.5 * half_diff * inv, 0.5 + 0.5 * half_diff * inv
+    c01 = 0.5 * np.conj(q01) * inv
+    return f, (c00, c11, c01, np.conj(c01)), f
 
 
 def objective_values(M: np.ndarray, V: np.ndarray, objective) -> np.ndarray:
@@ -110,8 +103,7 @@ def objective_values(M: np.ndarray, V: np.ndarray, objective) -> np.ndarray:
     chunk = descent_chunk(r, S)
     for lo in range(0, n, chunk):
         Vc = _instance_last(V[lo : lo + chunk])
-        Mv = _mv(M[lo : lo + chunk], Vc)
-        f[lo : lo + chunk], _ = objective(Vc, Mv, _q(Vc, Mv))
+        f[lo : lo + chunk] = objective(_q(Vc, _mv(M[lo : lo + chunk], Vc)))[0]
     return f
 
 
@@ -165,7 +157,8 @@ def minimize_on_sphere(
     """Nonmonotone retracted-gradient descent, one row per (instance, start) pair.
 
     M holds the form matrices of n instances, V0 their S starts each, shape
-    (n, S, r).  Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S),
+    (n, S, r), and objective is one as the module docstring describes it.
+    Returns (V, f, converged) of shapes (n, S, r), (n, S), (n, S),
     with V normalized.  Each iteration tries one step of length eta along
     the tangent gradient t, retracted to the sphere, and accepts it when
     f(W) <= C - ARMIJO_C eta |t|^2 for the row's reference value C (Zhang &
@@ -201,21 +194,29 @@ def minimize_on_sphere(
     chunk = descent_chunk(r, S)
     for lo in range(0, n, chunk):
         hi = lo + chunk
-        V[lo:hi], f[lo:hi], converged[lo:hi] = _descend(
-            M[lo:hi], V0[lo:hi], objective, iterations, tol
-        )
+        out = (V[lo:hi], f[lo:hi], converged[lo:hi])
+        _descend(M[lo:hi], V0[lo:hi], objective, iterations, tol, out)
     return V, f, converged
 
 
 def _evaluate(M: np.ndarray, V: np.ndarray, objective):
-    """Objective values and tangent gradients at the unit rows V."""
+    """Objective values and tangent gradients at the unit rows V.
+
+    The gradient is accumulated in place, term by term in the order of the
+    formula in the module docstring.
+    """
     Mv = _mv(M, V)
-    f, grad = objective(V, Mv, _q(V, Mv))
+    f, (c00, c11, c01, c10), radial = objective(_q(V, Mv))
+    grad = c00[..., None] * Mv[:, :, 0, 0]
+    grad += c11[..., None] * Mv[:, :, 1, 1]
+    grad -= c01[..., None] * Mv[:, :, 0, 1]
+    grad -= c10[..., None] * Mv[:, :, 1, 0]
+    grad -= radial[..., None] * V
     return f, _tangent(V, grad)
 
 
-def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: float):
-    """minimize_on_sphere on one chunk of instances.
+def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: float, out) -> None:
+    """minimize_on_sphere on one chunk, written into out, its slices of (V, f, converged).
 
     Every (instance, start) pair is carried from the first step as a (1, r)
     row of its own, with its own copy of M, row axis innermost in memory.
@@ -236,9 +237,7 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     Mr = _take(M, rows // S)
     V = _normalize(_instance_last(V0.reshape(-1, 1, r)))
     f, tan = _evaluate(Mr, V, objective)
-    V_all = np.empty((n * S, r), dtype=np.complex128)
-    f_all = np.empty(n * S)
-    converged = np.ones(n * S, dtype=bool)
+    V_all, f_all, converged = (a.reshape(n * S, *a.shape[2:]) for a in out)
     eta = np.full((n * S, 1), ETA0)
     ref = f.copy()  # Zhang-Hager reference value C, a weighted mean of accepted f
     weight = np.ones((n * S, 1))  # its weight Q
@@ -284,8 +283,8 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
         ref = np.where(accept, ref + (fw - ref) / weight, ref)
         del W, fw, tanw, accept, decrease, h, rho, ss, sy, bounded, bb
     V_all[rows], f_all[rows] = V[:, 0], f[:, 0]
+    converged[:] = True  # a dropped row stopped
     converged[rows] = ~active[:, 0]
-    return V_all.reshape(n, S, r), f_all.reshape(n, S), converged.reshape(n, S)
 
 
 def basis_and_random_starts(

@@ -357,14 +357,18 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     spans = [(lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)]
     jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
     workers = min(cfg.threads, len(jobs), _usable_cpus())
-    batches = _map_jobs([(cfg, kind, *job) for job in jobs], workers)
     per = len(spans)
-    results = [
-        _reduce(cfg, ci, r, e, batches[ci * per : (ci + 1) * per])
-        for ci, (r, e) in enumerate(configs)
-    ]
-    if kind == "gap":
-        results = _polish(cfg, results)
+    try:
+        batches = _map_jobs([(cfg, kind, *job) for job in jobs], workers)
+        results = [
+            _reduce(cfg, ci, r, e, batches[ci * per : (ci + 1) * per])
+            for ci, (r, e) in enumerate(configs)
+        ]
+        if kind == "gap":
+            results = _polish(cfg, results)
+    except MemoryError as exc:
+        # here or in a worker's batch, as for restarts = 10**12
+        raise AmpleError(f"a sweep ran out of memory: {exc}") from None
     results = tuple(results)
     min_value = min(c.min_value for c in results)
     residual_max = max(

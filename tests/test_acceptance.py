@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ample.bundles import Line, Sum, chern_of, split_slopes
 from ample.cli import run
@@ -92,6 +93,7 @@ def test_ac3_rank2_coefficient_collapse():
     report_line("AC-3", ok and dt < 1.0, f"coefficient(2) = 2 exactly, {dt:.3f}s")
 
 
+@pytest.mark.slow
 def test_ac4_pointwise_inequality_monte_carlo():
     t0 = time.perf_counter()
     cfg = SweepConfig(

@@ -1,9 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from ample.bundles import Dual, Line, Sum, Twist
-from ample.config import config_from_mapping, parse_config
+from ample.config import _KEYS, RunConfig, config_from_mapping, parse_config
 from ample.errors import ConfigError
 
 RING = {"basis": ["L", "H"], "pairing": [["0", "1"], ["1", "-1"]]}
@@ -98,6 +99,18 @@ def test_unknown_keys_are_rejected_at_their_path():
     doc["bundle"]["summands"][0]["units"] = 2
     fails_at(doc, "bundle.summands[0].units:")
     fails_at(check_doc(assertions={"semistable": True, "stable": True}), "assertions.stable:")
+
+
+def test_null_is_not_a_value_of_an_object_key():
+    fails_at(check_doc(assertions=None), "assertions:")
+    fails_at({"command": "nakai", "ring": RING, "divisor": {"L": "1"}, "curves": None}, "curves:")
+
+
+def test_the_keys_table_has_a_row_for_every_config_key():
+    # a RunConfig field without a _KEYS row would never be read or echoed
+    keys = [key for key, *_ in _KEYS]
+    config_keys = [f.name for f in fields(RunConfig) if f.name not in ("command", "output_path")]
+    assert sorted(keys) == sorted(config_keys)
 
 
 def test_command_specific_keys_do_not_leak():

@@ -7,6 +7,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -14,10 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ample import spheremin
+from ample import cli, spheremin
 from ample import sweep as sweep_module
 from ample.config import INT_MINIMUMS, config_from_mapping
 from ample.curvature import pointwise_gap
+from ample.report import render
 from ample.errors import ConfigError, InconsistentStateError, InvalidInputError
 from ample.sweep import (
     ADVERSARIAL_SOURCE,
@@ -233,6 +235,84 @@ print(json.dumps(out))
     assert (code, verdict, error["type"]) == (3, "error", "AmpleError")
     assert error["message"].startswith("a sweep worker process died")
     assert second == [0, "pass", None]
+
+
+def test_a_sweep_out_of_memory_is_an_error_report(monkeypatch):
+    # a stand-in for an allocation that fails, as one of 10**12 restarts
+    # does, so that nothing is allocated for real
+    def out_of_memory(cfg, *job):
+        raise MemoryError("Unable to allocate 58.2 TiB")
+
+    monkeypatch.setattr(sweep_module, "_run_batch", out_of_memory)
+    code, report = cli.run(config_from_mapping({"command": "griffiths", "sweep": {"ranks": [2]}}))
+    assert (code, report["verdict"]) == (3, "error")
+    message = "a sweep ran out of memory: Unable to allocate 58.2 TiB"
+    assert report["results"]["error"] == {"type": "AmpleError", "message": message}
+
+
+@forks_a_pool
+def test_a_worker_out_of_memory_is_an_error_and_the_pool_goes_on():
+    # the seed-1 sweep runs out of memory in a worker only; the seed-2 sweep
+    # then runs on the same workers
+    code = """
+import json, multiprocessing
+from ample import cli, sweep
+from ample.config import config_from_mapping
+
+run_batch = sweep._run_batch
+
+def out_of_memory_in_a_worker_at_seed_1(cfg, *job):
+    if cfg.seed == 1 and multiprocessing.parent_process() is not None:
+        raise MemoryError("Unable to allocate 58.2 TiB")
+    return run_batch(cfg, *job)
+
+sweep._run_batch = out_of_memory_in_a_worker_at_seed_1
+out = []
+for seed in (1, 2):
+    sweep_keys = {"ranks": [2, 3], "samples": 8, "batch_size": 4, "threads": 2, "seed": seed}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    pids = sorted(sweep._pool[1]._processes)
+    out.append([code, report["verdict"], report["results"].get("error"), pids])
+print(json.dumps(out))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    (code, verdict, error, pids), (*second, second_pids) = json.loads(proc.stdout)
+    assert (code, verdict, error["type"]) == (3, "error", "AmpleError")
+    assert error["message"] == "a sweep ran out of memory: Unable to allocate 58.2 TiB"
+    assert second == [0, "pass", None]
+    assert second_pids == pids
+
+
+def test_elsewhere_than_linux_the_workers_are_threads(monkeypatch):
+    # _keep_batch_memory is cached: called first under the patched platform,
+    # it would leave this process without its malloc thresholds
+    sweep_module._keep_batch_memory()
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} worker processes was asked for")
+
+    names = set()
+    run_batch = sweep_module._run_batch
+
+    def recording(*job):
+        names.add(threading.current_thread().name)
+        return run_batch(*job)
+
+    monkeypatch.setattr(sweep_module, "_process_pool", no_pool)
+    monkeypatch.setattr(sweep_module, "_run_batch", recording)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def text(threads):
+        sweep_keys = {"ranks": [2], "samples": 3, "batch_size": 1, "threads": threads}
+        _, report = cli.run(config_from_mapping({"command": "griffiths", "sweep": sweep_keys}))
+        return render(report)
+
+    threaded = text(2)
+    assert names and threading.main_thread().name not in names
+    assert threaded == text(1)
 
 
 @forks_a_pool
