@@ -35,6 +35,7 @@ _LAZY = {
             "PointwiseGapResult",
             "chern_densities",
             "error_term_density",
+            "gap_lower_bound",
             "lagrange_max",
             "lagrange_max_numeric",
             "lubke_constant",
@@ -72,7 +73,7 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AmpleError",
@@ -108,6 +109,7 @@ __all__ = [
     "epsilon_choice",
     "error_term_density",
     "export_histograms",
+    "gap_lower_bound",
     "griffiths_min",
     "intersect",
     "is_semistable_split",

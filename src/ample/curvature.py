@@ -14,6 +14,33 @@ contraction against omega equal to (2/r)*Id + B for a trace-free Hermitian
 error matrix B bounded entrywise by epsilon.  The sampler enforces all of
 these constraints by construction, solving for the dependent entries, rather
 than by projecting after the fact.
+
+A lower bound on the gap of the pointwise inequality (gap_lower_bound).
+This is this repository's proof for the model above, not the paper's text.
+Write C_ab = coeff[:, :, a, b] and T = C00 + C11 = (2/r) Id + B, and let
+
+    S1 = (C01 + C10)/2,   S2 = i(C01 - C10)/2,   S3 = (C00 - C11)/2.
+
+Hermitian coefficients make every S_k Hermitian, and tr coeff = omega makes
+it trace-free.  For a unit vector v put t = <v, T v> and s_k = <v, S_k v>;
+then the form q = <v, Theta v> has q00 = t/2 + s3, q11 = t/2 - s3 and
+q01 = s1 - i s2, so det q = t^2/4 - |s|^2.  Two estimates bound it below:
+
+- t >= lambda_min(T), so t^2 >= max(0, lambda_min(T))^2;
+- |s| = max over unit u in R^3 of <v, S_u v> with S_u = sum u_k S_k, which
+  is at most lambda_max(S_u).  A trace-free Hermitian r x r matrix A has
+  lambda_max(A)^2 <= ((r-1)/r) |A|_F^2 (its other eigenvalues sum to
+  -lambda_max, so their squares sum to at least lambda_max^2/(r-1)), and
+  |S_u|_F^2 = u^T G u <= lambda_max(G) for the Gram matrix
+  G_kl = Re tr(S_k S_l^*), which is Re tr(S_k S_l) as the S_k are Hermitian.
+
+So det q >= max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max(G) for every v
+(det_lower_bound), and since the gap is (2r^2/k) det q + err - lhs with
+k = r^2 - 2r + 2 (gap_scale_offset), the same affine map of that bound is a
+lower bound on the gap over all v.  Both estimates are equalities at rank 2
+with B = 0, where t = 1 for every v and a trace-free 2 x 2 matrix has
+lambda_max^2 = |A|_F^2/2 exactly: the top eigenvector v of S_u, for u the
+top eigenvector of G, attains the bound, which is then the minimum gap.
 """
 
 from __future__ import annotations
@@ -386,6 +413,33 @@ def gap_scale_offset(r: int, epsilon: float, lhs):
     """
     k = r * r - 2 * r + 2
     return 2.0 * r * r / k, error_term_density(r, epsilon) - lhs
+
+
+def det_lower_bound(coeff: np.ndarray) -> np.ndarray:
+    """Per-sample lower bound on det<v, Theta v> over unit v, for coeff of
+    shape (n, r, r, 2, 2): max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max G
+    (see the module docstring).
+
+    Each sample's value is computed by the same operations whatever the
+    batch, so its bits do not depend on the other samples.
+    """
+    r = coeff.shape[1]
+    c00, c11, c01, c10 = (coeff[..., a, b] for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    S = np.stack([0.5 * (c01 + c10), 0.5j * (c01 - c10), 0.5 * (c00 - c11)], axis=1)
+    G = np.einsum("nkij,nlij->nkl", S, np.conj(S)).real
+    t_min = np.linalg.eigvalsh(c00 + c11)[:, 0]
+    g_max = np.linalg.eigvalsh(G)[:, -1]
+    return np.maximum(t_min, 0.0) ** 2 / 4.0 - (r - 1) / r * g_max
+
+
+def gap_lower_bound(coeff: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per-sample lower bound on the inequality gap over all unit v.
+
+    det_lower_bound mapped through gap_scale_offset, so the bound rests on
+    the same lhs (batch_lhs_density) and error term as every evaluated gap.
+    """
+    scale, offset = gap_scale_offset(coeff.shape[1], epsilon, batch_lhs_density(coeff))
+    return scale * det_lower_bound(coeff) + offset
 
 
 @dataclass(frozen=True)

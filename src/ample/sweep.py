@@ -1,8 +1,12 @@
 """Deterministic Monte Carlo sweeps over sampled curvatures.
 
-Two drivers share one batching engine: the inequality sweep minimizes the
-gap of the pointwise inequality per sample (random test vectors plus an
-adversarial multi-start search), and the positivity sweep does the same for
+Two drivers share one batching engine.  The inequality sweep bounds the gap
+of the pointwise inequality below for every sample in closed form
+(curvature.det_lower_bound), evaluates it at random test vectors and at the
+best basis vector, and runs the adversarial multi-start search only on the
+samples whose bound is below -threshold; a sample whose bound is not is
+certified, and its pass rests on the bound.  Every value found is checked
+against its sample's bound.  The positivity sweep searches every sample for
 the smallest eigenvalue of the normalized curvature form.
 
 Determinism contract: configuration config_index of a sweep with base
@@ -47,12 +51,15 @@ import numpy as np
 from .config import SweepConfig
 from .curvature import (
     OPTIMIZER_TOL,
+    VALIDATION_TOL,
     PointCurvature,
     _batch_residuals,
     _coefficient_count,
     batch_lhs_density,
     build_batch,
     check_residuals,
+    det_lower_bound,
+    error_term_density,
     gap_scale_offset,
     lagrange_max,
     lagrange_max_numeric,
@@ -108,6 +115,8 @@ class ConfigResult:
     residual_max: dict[str, float]
     converged_fraction: float
     histogram: tuple[tuple[float, float, int], ...]
+    certified: int | None = None
+    min_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -132,11 +141,18 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
 def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int):
     """Evaluate samples lo..hi-1 of one configuration; pure in (cfg, args).
 
-    Returns (values, minimum, residual maxima, converged count), where
-    minimum is (sample index, v, source) of the first lowest value.  A batch
-    whose constraint residuals fail check_residuals' rule stops right after
-    them and returns NaN values and no minimum: the search would only run on
-    numbers that break the constraints.
+    Returns (values, minimum, residual maxima, converged count, bound),
+    where minimum is (sample index, v, source) of the first lowest value and
+    bound is (certified count, lowest bound) for a gap batch and None for an
+    eigenvalue batch.  A gap batch bounds every sample's gap below
+    (det_lower_bound) and searches only the samples whose bound is below
+    -threshold; a certified sample's value is the lowest over its random
+    test vectors and its best basis vector, the first start of a search,
+    and it counts as converged.  A value below its sample's bound by more
+    than rounding is InconsistentStateError, since the bound is a theorem.
+    A batch whose constraint residuals fail check_residuals' rule stops
+    right after them and returns NaN values and no minimum: the search
+    would only run on numbers that break the constraints.
     """
     n = hi - lo
     key = (cfg.seed, ci)
@@ -148,28 +164,57 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         coeff, B = build_batch(r, epsilon, seeded_draws(key, lo, n, _coefficient_count(r)))
     residual_max = _batch_residuals(coeff, B, epsilon)
     if violations(residual_max):
-        return np.full(n, np.nan), None, residual_max, 0
+        return np.full(n, np.nan), None, residual_max, 0, None
     M = form_matrices(coeff)
 
+    R = cfg.random_vectors
     if kind == "gap":
         objective = det_objective
-        scale, offsets = gap_scale_offset(r, epsilon, batch_lhs_density(coeff))
+        lhs = batch_lhs_density(coeff)
+        scale, offsets = gap_scale_offset(r, epsilon, lhs)
+        bound = scale * det_lower_bound(coeff) + offsets
+        searched = np.flatnonzero(bound < -cfg.threshold)
+        # every sample's best basis vector, and the starts of the searched
+        # samples alone, drawn over the rows from the first to the last
+        first = basis_and_random_starts(M, objective, 1, key, lo)
+        a, b = (int(searched[0]), int(searched[-1]) + 1) if searched.size else (0, 0)
+        V0 = basis_and_random_starts(M[a:b], objective, cfg.restarts, key, lo + a)[searched - a]
     else:
         objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
-    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
-    V, f, converged = minimize_on_sphere(M, V0, objective, cfg.iterations, cfg.tol)
+        searched = slice(None)
+        V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
+        first = V0[:, :0]  # no vector outside the search but the screen
     # the random test vectors go first, so that a value of the search counts
-    # only where it is lower
-    screen = random_unit_vectors(key, lo, n, cfg.random_vectors, r, (2,))
-    V = np.concatenate([screen, V], axis=1)
-    f = np.concatenate([objective_values(M, screen, objective), f], axis=1)
+    # only where it is lower; a certified sample's search columns keep +inf
+    screened = R + first.shape[1]
+    V = np.concatenate(
+        [random_unit_vectors(key, lo, n, R, r, (2,)), first, np.zeros((n, cfg.restarts, r), complex)],
+        axis=1,
+    )
+    f = np.full(V.shape[:2], np.inf)
+    f[:, :screened] = objective_values(M, V[:, :screened], objective)
+    V[searched, screened:], f[searched, screened:], converged = minimize_on_sphere(
+        M[searched], V0, objective, cfg.iterations, cfg.tol
+    )
     values = scale * f + offsets[:, None]
     idx = np.argmin(values, axis=1)
     values = values[np.arange(n), idx]
     i = int(np.argmin(values))
-    source = RANDOM_SOURCE if idx[i] < cfg.random_vectors else ADVERSARIAL_SOURCE
+    source = RANDOM_SOURCE if idx[i] < R else ADVERSARIAL_SOURCE
     minimum = (lo + i, tuple(V[i, idx[i]]), source)
-    return values, minimum, residual_max, int(converged.all(axis=1).sum())
+    converged = int(converged.all(axis=1).sum())
+    if kind != "gap":
+        return values, minimum, residual_max, converged, None
+    slack = VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
+    below = np.flatnonzero(values < bound - slack)
+    if below.size:
+        j = int(below[0])
+        raise InconsistentStateError(
+            f"rank {r}, epsilon {epsilon!r}, sample {lo + j}: gap {float(values[j])!r} "
+            f"lies below its proven lower bound {float(bound[j])!r}"
+        )
+    certified = n - searched.size
+    return values, minimum, residual_max, certified + converged, (certified, float(bound.min()))
 
 
 def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]:
@@ -196,7 +241,7 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
 
 def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> ConfigResult:
     """One configuration's result from its batches, taken in sample order."""
-    values, minima, residuals, converged = zip(*batches)
+    values, minima, residuals, converged, bounds = zip(*batches)
     residual_max = {key: max(res[key] for res in residuals) for key in residuals[0]}
     where = f"rank {r}, epsilon {epsilon!r}: "
     check_residuals(residual_max, where=where)
@@ -208,6 +253,10 @@ def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> Confi
     # the configuration's first minimum is the first minimum of its batch
     i, v, source = minima[int(np.argmin(values)) // cfg.batch_size]
     worst = WorstRecord(r, epsilon, (cfg.seed, ci, i), float(values[i]), v, source, cfg.mode)
+    certified = min_bound = None
+    if bounds[0] is not None:
+        certified = sum(c for c, _ in bounds)
+        min_bound = min(b for _, b in bounds)
     return ConfigResult(
         rank=r,
         epsilon=epsilon,
@@ -218,6 +267,8 @@ def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> Confi
         residual_max=residual_max,
         converged_fraction=sum(converged) / values.size,
         histogram=_histogram(values, cfg.histogram_bins),
+        certified=certified,
+        min_bound=min_bound,
     )
 
 
@@ -347,6 +398,23 @@ def _map_jobs(jobs: list[tuple], workers: int) -> list:
         raise AmpleError(f"a sweep worker process died: {exc}") from None
 
 
+def _check_array_sizes(cfg: SweepConfig, n: int) -> None:
+    """Raise the out-of-memory AmpleError, before anything is allocated, for
+    a sweep with n samples per batch whose arrays numpy could not make.
+
+    numpy refuses an array of more than sys.maxsize bytes with ValueError,
+    not MemoryError.  No array of a batch holds more than
+    n (restarts + random_vectors) 4r^2 complex numbers, the descent's copies
+    of the form matrices for every vector, and the histogram holds
+    histogram_bins + 1 edges.
+    """
+    vectors = n * (cfg.restarts + cfg.random_vectors) * 4 * max(cfg.ranks) ** 2
+    if 16 * vectors > sys.maxsize or 8 * (cfg.histogram_bins + 1) > sys.maxsize:
+        raise AmpleError(
+            f"a sweep ran out of memory: its arrays would pass numpy's limit of {sys.maxsize} bytes"
+        )
+
+
 def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     _keep_batch_memory()
     configs = [(r, e) for r in cfg.ranks for e in cfg.epsilons]
@@ -358,6 +426,7 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
     workers = min(cfg.threads, len(jobs), _usable_cpus())
     per = len(spans)
+    _check_array_sizes(cfg, spans[0][1])
     try:
         batches = _map_jobs([(cfg, kind, *job) for job in jobs], workers)
         results = [
@@ -384,9 +453,12 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
 def run_gap_sweep(cfg: SweepConfig) -> SweepResult:
     """Monte Carlo verification of the pointwise inequality.
 
-    Per sample, the gap is evaluated at `random_vectors` random unit vectors
-    and minimized adversarially from `restarts` starts; passing means the
-    minimum over everything is at least -threshold.
+    Per sample, the gap is bounded below in closed form and evaluated at
+    `random_vectors` random unit vectors and the best basis vector; a sample
+    whose bound is below -threshold is also minimized adversarially from
+    `restarts` starts.  Passing means the minimum over everything found is
+    at least -threshold.  Each configuration reports how many samples the
+    bound certified and the lowest bound.
     """
     return _run_sweep(cfg, "gap")
 

@@ -5,6 +5,7 @@ its wall time, then asserts.  Tolerances and problem sizes are pinned
 literals; loosening either is a behavior change, not a cleanup.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -248,27 +249,35 @@ def test_ac10_byte_identical_reports():
         },
     }
 
-    def render_with(threads):
-        doc = {**sweep_doc, "sweep": {**sweep_doc["sweep"], "threads": threads}}
-        code, report = run(config_from_mapping(doc))
+    def render_with(threads, batch_size=4096):
+        sweep = {**sweep_doc["sweep"], "threads": threads, "batch_size": batch_size}
+        code, report = run(config_from_mapping({**sweep_doc, "sweep": sweep}))
         return code, render(report)
+
+    def bounds(text):
+        # the certificate fields, as the bytes of their rendered values
+        configs = json.loads(text)["results"]["configs"]
+        return [(c["certified"], repr(c["min_bound"])) for c in configs]
 
     code1, text1 = render_with(1)
     code2, text2 = render_with(1)
     code4, text4 = render_with(4)
+    code7, text7 = render_with(2, batch_size=7)
     ce_doc = {"command": "counterexample", "r": 5, "a": "7/3"}
     _, ce1 = run(config_from_mapping(ce_doc))
     _, ce2 = run(config_from_mapping(ce_doc))
     dt = time.perf_counter() - t0
     ok = (
-        code1 == code2 == code4 == 0
+        code1 == code2 == code4 == code7 == 0
         and text1 == text2
         and text1 == text4
+        and text1 == text7
+        and bounds(text1) == bounds(text2) == bounds(text4) == bounds(text7)
         and render(ce1) == render(ce2)
         and dt < 60.0
     )
     report_line(
         "AC-10", ok,
-        f"byte-identical across reruns and 1 vs 4 threads "
-        f"({len(text1)} byte sweep report), {dt:.1f}s",
+        f"byte-identical across reruns, 1 vs 4 threads and batches of 7 "
+        f"({len(text1)} byte sweep report, certified {[c for c, _ in bounds(text1)]}), {dt:.1f}s",
     )

@@ -4,11 +4,13 @@ import pytest
 from ample.curvature import (
     PointCurvature,
     _box_muller,
+    _coefficient_count,
     batch_lhs_density,
     build_batch,
     c2_density_pairwise,
     chern_densities,
     error_term_density,
+    gap_lower_bound,
     lagrange_max,
     lagrange_max_numeric,
     lhs_density,
@@ -23,7 +25,7 @@ from ample.curvature import (
     wedge_density,
 )
 from ample.errors import InconsistentStateError, InvalidInputError
-from ample.spheremin import random_unit_vectors
+from ample.spheremin import min_gap_over_v, random_unit_vectors
 
 
 def as_form(rows):
@@ -350,3 +352,71 @@ def test_lagrange_input_validation():
         lagrange_max(3, 0.0, [0.1, 0.1, 0.1])
     with pytest.raises(InvalidInputError):
         lagrange_max(3, 0.0, [0.1, -0.1])
+
+
+def entrywise_family(r, eps):
+    """coeff00 = I/r, coeff11 = I/r + B with B = -eps (J - I): every residual
+    passes under the entrywise bound on B, and lambda_min(B) = -(r-1) eps."""
+    B = -eps * (np.ones((r, r)) - np.eye(r))
+    coeff = np.zeros((r, r, 2, 2), dtype=np.complex128)
+    coeff[..., 0, 0] = np.eye(r) / r
+    coeff[..., 1, 1] = np.eye(r) / r + B
+    return PointCurvature(r, coeff, eps, B)
+
+
+def searched_gaps(pcs):
+    found = min_gap_over_v(pcs, restarts=10, tol=1e-10, iterations=2000)
+    return np.array([res.gap for res in found])
+
+
+def rounding_slack(pcs):
+    # the scale of the terms whose difference the gap is
+    lhs = batch_lhs_density(np.stack([pc.coeff for pc in pcs]))
+    err = np.array([error_term_density(pc.rank, pc.epsilon) for pc in pcs])
+    return 1e-9 * (1.0 + np.abs(lhs) + err)
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_the_search_never_goes_below_the_gap_bound(r):
+    rng = np.random.default_rng(r)
+    z = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    U, _ = np.linalg.qr(z)
+    pcs = [sample_curvature(r, eps, (11, i)) for eps in (0.0, 0.01, 0.1) for i in range(8)]
+    pcs += [projectively_flat(r)]
+    pcs += [entrywise_family(r, eps) for eps in (0.01, 0.1)]
+    pcs += [unitary_conjugate(entrywise_family(r, 0.1), U)]
+    bound = np.concatenate([gap_lower_bound(pc.coeff[None], pc.epsilon) for pc in pcs])
+    assert np.all(searched_gaps(pcs) >= bound - rounding_slack(pcs))
+
+
+@pytest.mark.parametrize(
+    "r, eps, closed",
+    [(3, 0.1, -0.096), (4, 0.01, -0.0157), (2, 0.1, None), (5, 0.05, None)],
+)
+def test_the_gap_bound_is_the_closed_form_on_the_entrywise_family(r, eps, closed):
+    # where lambda_min(T) = 2/r - (r-1) eps >= 0 both estimates of the bound
+    # are equalities, and the minimum gap is
+    # (2r lambda_min(B) + 2r eps + r(r^2-1) eps^2/2)/k
+    assert 2 / r - (r - 1) * eps >= 0
+    k = r * r - 2 * r + 2
+    formula = (-2 * r * (r - 1) * eps + 2 * r * eps + r * (r * r - 1) * eps**2 / 2) / k
+    if closed is not None:
+        assert formula == pytest.approx(closed, abs=1e-15)
+    pc = entrywise_family(r, eps)
+    bound = gap_lower_bound(pc.coeff[None], eps)[0]
+    assert bound == pytest.approx(formula, abs=1e-13)
+    assert searched_gaps([pc])[0] == pytest.approx(bound, abs=1e-9)
+
+
+def test_the_gap_bound_is_the_minimum_gap_at_rank_two_without_error():
+    pcs = [sample_curvature(2, 0.0, (12, i)) for i in range(20)]
+    bound = gap_lower_bound(np.stack([pc.coeff for pc in pcs]), 0.0)
+    assert np.abs(searched_gaps(pcs) - bound).max() <= 1e-9
+
+
+def test_the_gap_bound_of_a_sample_does_not_depend_on_its_batch():
+    coeff, _ = build_batch(5, 0.1, seeded_draws((4,), 0, 777, _coefficient_count(5)))
+    whole = gap_lower_bound(coeff, 0.1)
+    for size in (1, 100):
+        parts = [gap_lower_bound(coeff[lo : lo + size], 0.1) for lo in range(0, 777, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), size

@@ -69,10 +69,18 @@ def test_sweep_is_reproducible():
 def test_sweep_independent_of_thread_count_and_batch_size():
     # 13 splits the 40 samples into 4 uneven batches at offsets that are not
     # multiples of the 4 words of a Philox block
+    def bounds(res):
+        return [(c.certified, repr(c.min_bound)) for c in res.results]
+
     for sweep in (run_gap_sweep, run_griffiths_sweep):
         base = sweep(SMALL)
         for changes in ({"threads": 4}, {"batch_size": 1}, {"batch_size": 7}, {"batch_size": 13, "threads": 3}):
-            assert sweep(replace(SMALL, **changes)) == base, changes
+            other = sweep(replace(SMALL, **changes))
+            assert other == base, changes
+            assert bounds(other) == bounds(base), changes
+    # a gap sweep certifies, an eigenvalue sweep has no bound
+    assert all(c.certified is not None for c in run_gap_sweep(SMALL).results)
+    assert bounds(base) == [(None, "None")] * len(base.results)
 
 
 def test_pool_never_has_more_workers_than_jobs_or_cpus(monkeypatch):
@@ -250,6 +258,94 @@ def test_a_sweep_out_of_memory_is_an_error_report(monkeypatch):
     assert report["results"]["error"] == {"type": "AmpleError", "message": message}
 
 
+@pytest.mark.parametrize("key, value", [("restarts", 10**18), ("random_vectors", 10**18), ("histogram_bins", 2**62)])
+def test_a_sweep_past_numpy_size_limit_is_an_error_report_before_any_batch(monkeypatch, key, value):
+    # numpy refuses such arrays with ValueError; the sweep refuses them first
+    def no_batch(cfg, *job):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(sweep_module, "_run_batch", no_batch)
+    for command in ("verify-lemma", "griffiths"):
+        doc = {"command": command, "sweep": {"ranks": [2], "samples": 3, key: value}}
+        code, report = cli.run(config_from_mapping(doc))
+        assert (code, report["verdict"]) == (3, "error")
+        error = report["results"]["error"]
+        assert error["type"] == "AmpleError"
+        assert error["message"].startswith("a sweep ran out of memory: its arrays would pass numpy's limit")
+
+
+def family_batch(r, epsilon, uniforms):
+    """build_batch's stand-in: every sample is coeff00 = I/r, coeff11 = I/r + B
+    with B = -eps (J - I), which passes every residual check and whose
+    minimum gap is -0.096 at r = 3, eps = 0.1."""
+    B = -epsilon * (np.ones((r, r)) - np.eye(r))
+    coeff = np.zeros((r, r, 2, 2), dtype=np.complex128)
+    coeff[..., 0, 0] = np.eye(r) / r
+    coeff[..., 1, 1] = np.eye(r) / r + B
+    n = uniforms.shape[0]
+    return np.repeat(coeff[None], n, axis=0), np.repeat(B[None].astype(np.complex128), n, axis=0)
+
+
+def test_the_search_runs_where_the_bound_cannot_decide(monkeypatch):
+    monkeypatch.setattr(sweep_module, "build_batch", family_batch)
+    sweep_keys = {"ranks": [3], "epsilons": [0.1], "samples": 20, "batch_size": 8}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    (c,) = report["results"]["configs"]
+    assert (code, report["verdict"]) == (1, "fail")
+    assert c["certified"] == 0
+    assert c["min_bound"] == pytest.approx(-0.096, abs=1e-12)
+    assert c["min"] == c["worst"]["value"] == pytest.approx(-0.096, abs=1e-9)
+    assert c["worst"]["source"] == ADVERSARIAL_SOURCE
+
+
+def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
+    # a bound pushed down on rows 3, 5 and 12 of every batch of 16 makes the
+    # batches search those samples alone
+    rows = np.array([3, 5, 12])
+    det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
+    starts = []
+
+    def lowered(coeff):
+        bound = det_lower_bound(coeff)
+        bound[rows[rows < len(bound)]] = -1e6
+        return bound
+
+    def recording(M, V0, *args):
+        starts.append(V0)
+        return descend(M, V0, *args)
+
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lowered)
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording)
+    cfg = replace(SMALL, batch_size=16)
+    res = run_gap_sweep(cfg)
+    assert [c.certified for c in res.results] == [cfg.samples - 8] * len(res.results)
+    batches = iter(starts)
+    for ci, c in enumerate(res.results):
+        for lo in (0, 16, 32):
+            V0 = next(batches)
+            samples = [lo + int(j) for j in rows if lo + j < cfg.samples]
+            assert len(V0) == len(samples)
+            for row, i in zip(V0, samples):
+                pc = sweep_module.sample_curvature(c.rank, c.epsilon, (cfg.seed, ci, i))
+                M = spheremin.form_matrices(pc.coeff[None])
+                alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (cfg.seed, ci), i)
+                assert np.array_equal(row, alone[0]), (ci, i)
+
+
+def test_a_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
+    # a bound raised by 1 in det, so 2r^2/k >= 2 in the gap: the rank-2
+    # bound is the minimum gap, so every rank-2 value lies below it
+    det_lower_bound = sweep_module.det_lower_bound
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: det_lower_bound(coeff) + 1.0)
+    sweep_keys = {"ranks": [2], "samples": 8}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    assert (code, report["verdict"]) == (3, "error")
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    assert error["message"].startswith("rank 2, epsilon 0.0, sample 0: gap ")
+    assert " lies below its proven lower bound " in error["message"]
+
+
 @forks_a_pool
 def test_a_worker_out_of_memory_is_an_error_and_the_pool_goes_on():
     # the seed-1 sweep runs out of memory in a worker only; the seed-2 sweep
@@ -378,28 +474,34 @@ print(min(counts))
 
 
 def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
-    # the batches descend through sweep's minimize_on_sphere and the polish
-    # through spheremin's; record the starting block of each call
-    batch_starts, polish_starts = [], []
+    # a gap batch picks every sample's first start, its best basis vector,
+    # through sweep's basis_and_random_starts with one restart, and searches
+    # only the samples its bound cannot certify; the polish descends through
+    # spheremin's minimize_on_sphere
+    first_starts, polish_starts = [], []
 
-    def recording(starts, descend):
-        def wrapped(M, V0, *args, **kwargs):
-            starts.append(np.array(V0))
-            return descend(M, V0, *args, **kwargs)
+    def recording_starts(M, objective, restarts, *args):
+        starts = make_starts(M, objective, restarts, *args)
+        if restarts == 1:
+            first_starts.append(starts)
+        return starts
 
-        return wrapped
+    def recording_descent(M, V0, *args, **kwargs):
+        polish_starts.append(np.array(V0))
+        return descend(M, V0, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording(batch_starts, sweep_module.minimize_on_sphere))
-    monkeypatch.setattr(spheremin, "minimize_on_sphere", recording(polish_starts, spheremin.minimize_on_sphere))
+    make_starts, descend = sweep_module.basis_and_random_starts, spheremin.minimize_on_sphere
+    monkeypatch.setattr(sweep_module, "basis_and_random_starts", recording_starts)
+    monkeypatch.setattr(spheremin, "minimize_on_sphere", recording_descent)
     # random mode: batches of 16, 16 and 8 samples; projectively-flat mode:
-    # one sample per configuration, whose random starts must still be the
-    # batch's and not the default ones
+    # one sample per configuration, whose random starts must still be its
+    # own and not the default ones
     for mode, per_config in (("random", 3), ("projectively-flat", 1)):
-        batch_starts.clear()
+        first_starts.clear()
         polish_starts.clear()
         cfg = replace(SMALL, batch_size=16, mode=mode)
         res = run_gap_sweep(cfg)  # jobs run in job order on one thread
-        assert len(batch_starts) == per_config * len(res.results)
+        assert len(first_starts) == per_config * len(res.results)
         # one polish per rank; configurations are rank-major, so the polish
         # rows in call order are the configurations' worst samples in order
         assert len(polish_starts) == len(cfg.ranks)
@@ -408,8 +510,11 @@ def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
         for ci, c in enumerate(res.results):
             seed, config_index, i = c.worst.seed
             assert (seed, config_index) == (cfg.seed, ci)
-            batch = batch_starts[ci * per_config + i // cfg.batch_size]
-            assert np.array_equal(polish_rows[ci], batch[i % cfg.batch_size]), mode
+            M = spheremin.form_matrices(replay_worst(c.worst).coeff[None])
+            alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (seed, ci), i)
+            assert np.array_equal(polish_rows[ci], alone[0]), mode
+            first = first_starts[ci * per_config + i // cfg.batch_size]
+            assert np.array_equal(polish_rows[ci][:1], first[i % cfg.batch_size]), mode
 
 
 def test_worst_record_replays_to_the_recorded_value():
