@@ -207,7 +207,7 @@ def seeded_draws(
     stride = -(-width // 4)
     out = np.empty((n, slots, width))
     for j in range(slots):
-        bitgen = np.random.Philox(key=state, counter=lo * stride + (j << 128))
+        bitgen = np.random.Philox(key=state, counter=int(lo) * stride + (j << 128))
         out[:, j] = np.random.Generator(bitgen).random((n, 4 * stride))[:, :width]
     if normal:
         out = _box_muller(out)

@@ -4,10 +4,12 @@ Two drivers share one batching engine.  The inequality sweep bounds the gap
 of the pointwise inequality below for every sample in closed form
 (curvature.det_lower_bound), evaluates it at random test vectors and at the
 best basis vector, and runs the adversarial multi-start search only on the
-samples whose bound is below -threshold; a sample whose bound is not is
-certified, and its pass rests on the bound.  Every value found is checked
-against its sample's bound.  The positivity sweep searches every sample for
-the smallest eigenvalue of the normalized curvature form.
+samples whose bound is below -threshold and, as an audit of the bound, on
+every AUDIT_STRIDE-th sample; a sample whose bound is not below -threshold
+is certified, and its pass rests on the bound.  Every value found, the
+polished ones too, is checked against its sample's bound.  The positivity
+sweep searches every sample for the smallest eigenvalue of the normalized
+curvature form.
 
 Determinism contract: configuration config_index of a sweep with base
 seed s owns three Philox streams keyed by SeedSequence((s, config_index),
@@ -81,7 +83,12 @@ from .spheremin import (
 )
 
 RANDOM_SOURCE = "random-vector"
+BASIS_SOURCE = "basis-vector"
 ADVERSARIAL_SOURCE = "adversarial"
+
+# a gap sweep searches every sample whose index is a multiple of this,
+# certified or not, so that every sweep tests the bound against a search
+AUDIT_STRIDE = 64
 
 @dataclass(frozen=True)
 class WorstRecord:
@@ -90,9 +97,9 @@ class WorstRecord:
     seed is (base seed, config index, sample index), which sample_curvature
     reads as that sample's row of key (base seed, config index), so replaying
     it rebuilds the sample and the starts of its search; v is the offending
-    vector; source tells whether a random test vector or the adversarial
-    search found it; mode is the sampler mode, which replay_worst needs and
-    reports leave out.
+    vector; source tells whether a random test vector, the best basis vector
+    (screened by gap sweeps) or the adversarial search found it; mode is the
+    sampler mode, which replay_worst needs and reports leave out.
     """
 
     rank: int
@@ -145,11 +152,14 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     where minimum is (sample index, v, source) of the first lowest value and
     bound is (certified count, lowest bound) for a gap batch and None for an
     eigenvalue batch.  A gap batch bounds every sample's gap below
-    (det_lower_bound) and searches only the samples whose bound is below
-    -threshold; a certified sample's value is the lowest over its random
-    test vectors and its best basis vector, the first start of a search,
-    and it counts as converged.  A value below its sample's bound by more
-    than rounding is InconsistentStateError, since the bound is a theorem.
+    (_gap_bound) and evaluates it at the random test vectors and the best
+    basis vector, the first start of a search.  It searches the samples
+    whose bound is below -threshold, and, as an audit of the bound, those
+    whose index is a multiple of AUDIT_STRIDE; the others are certified.
+    A certified sample counts as converged, a searched one that is not
+    certified when it converged in every start.  A value below its sample's
+    bound by more than rounding is InconsistentStateError, since the bound
+    is a theorem.
     A batch whose constraint residuals fail check_residuals' rule stops
     right after them and returns NaN values and no minimum: the search
     would only run on numbers that break the constraints.
@@ -170,22 +180,21 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     R = cfg.random_vectors
     if kind == "gap":
         objective = det_objective
-        lhs = batch_lhs_density(coeff)
-        scale, offsets = gap_scale_offset(r, epsilon, lhs)
-        bound = scale * det_lower_bound(coeff) + offsets
-        searched = np.flatnonzero(bound < -cfg.threshold)
-        # every sample's best basis vector, and the starts of the searched
-        # samples alone, drawn over the rows from the first to the last
-        first = basis_and_random_starts(M, objective, 1, key, lo)
-        a, b = (int(searched[0]), int(searched[-1]) + 1) if searched.size else (0, 0)
-        V0 = basis_and_random_starts(M[a:b], objective, cfg.restarts, key, lo + a)[searched - a]
+        scale, offsets, bound, floor = _gap_bound(coeff, epsilon)
+        uncertified = bound < -cfg.threshold
+        audited = np.arange(lo, hi) % AUDIT_STRIDE == 0
+        searched = np.flatnonzero(uncertified | audited)
+        restarts = cfg.restarts if searched.size else 1
     else:
         objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
-        searched = slice(None)
-        V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
-        first = V0[:, :0]  # no vector outside the search but the screen
+        searched, restarts = slice(None), cfg.restarts
+    V0 = basis_and_random_starts(M, objective, restarts, key, lo)
+    # a gap batch also screens every sample's best basis vector, its first
+    # start, which a certified sample is never searched from
+    first = V0[:, : 1 if kind == "gap" else 0]
+    V0 = V0[searched]
     # the random test vectors go first, so that a value of the search counts
-    # only where it is lower; a certified sample's search columns keep +inf
+    # only where it is lower; an unsearched sample's search columns keep +inf
     screened = R + first.shape[1]
     V = np.concatenate(
         [random_unit_vectors(key, lo, n, R, r, (2,)), first, np.zeros((n, cfg.restarts, r), complex)],
@@ -200,21 +209,47 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     idx = np.argmin(values, axis=1)
     values = values[np.arange(n), idx]
     i = int(np.argmin(values))
-    source = RANDOM_SOURCE if idx[i] < R else ADVERSARIAL_SOURCE
+    source = RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE if idx[i] < screened else ADVERSARIAL_SOURCE
     minimum = (lo + i, tuple(V[i, idx[i]]), source)
-    converged = int(converged.all(axis=1).sum())
+    converged = converged.all(axis=1)
     if kind != "gap":
-        return values, minimum, residual_max, converged, None
-    slack = VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
-    below = np.flatnonzero(values < bound - slack)
+        return values, minimum, residual_max, int(converged.sum()), None
+    _check_gap_bound(r, epsilon, range(lo, hi), values, bound, floor)
+    certified = n - int(uncertified.sum())
+    # a certified sample counts as converged, audited or not
+    converged = certified + int(converged[uncertified[searched]].sum())
+    return values, minimum, residual_max, converged, (certified, float(bound.min()))
+
+
+def _gap_bound(coeff: np.ndarray, epsilon: float):
+    """(scale, offsets, bound, floor) of a batch of gap samples.
+
+    gap(v) = scale * det<v, Theta v>/<v, v> + offsets per sample, bound is
+    each sample's proven lower bound on its gap (det_lower_bound mapped the
+    same way), and floor is bound less the rounding a computed gap may
+    carry, the lowest value _check_gap_bound accepts.
+    """
+    r = coeff.shape[1]
+    lhs = batch_lhs_density(coeff)
+    scale, offsets = gap_scale_offset(r, epsilon, lhs)
+    bound = scale * det_lower_bound(coeff) + offsets
+    floor = bound - VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
+    return scale, offsets, bound, floor
+
+
+def _check_gap_bound(r: int, epsilon: float, samples, values, bound, floor) -> None:
+    """Raise InconsistentStateError at the first value below its floor.
+
+    samples are the sample indices of the values; the bound is a theorem,
+    so a gap found below it is a bug in the code, not in the lemma.
+    """
+    below = np.flatnonzero(values < floor)
     if below.size:
         j = int(below[0])
         raise InconsistentStateError(
-            f"rank {r}, epsilon {epsilon!r}, sample {lo + j}: gap {float(values[j])!r} "
+            f"rank {r}, epsilon {epsilon!r}, sample {samples[j]}: gap {float(values[j])!r} "
             f"lies below its proven lower bound {float(bound[j])!r}"
         )
-    certified = n - searched.size
-    return values, minimum, residual_max, certified + converged, (certified, float(bound.min()))
 
 
 def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]:
@@ -222,17 +257,21 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
 
     Runs a longer adversarial search from the same deterministic starts, one
     batched search per rank over the records of that rank; each record gets
-    the bits of a search of its own.  A polished value can only be equal or
-    lower since the search extends the recorded one.  Eigenvalue sweeps are
-    not polished, so their record keeps the value-at-v pairing intact.
+    the bits of a search of its own.  A record takes the polished value
+    where it is lower; a polished value below its sample's bound is
+    InconsistentStateError, as in the batches.
+    Eigenvalue sweeps are not polished, so their record keeps the value-at-v
+    pairing intact.
     """
     results = list(results)
     for r in dict.fromkeys(c.rank for c in results):
         idx = [k for k, c in enumerate(results) if c.rank == r]
         pcs = [replay_worst(results[k].worst) for k in idx]
         refined = min_gap_over_v(pcs, restarts=cfg.restarts, tol=1e-8, iterations=400)
-        for k, found in zip(idx, refined):
+        for k, pc, found in zip(idx, pcs, refined):
             c = results[k]
+            _, _, bound, floor = _gap_bound(pc.coeff[None], c.epsilon)
+            _check_gap_bound(r, c.epsilon, c.worst.seed[2:], np.array([found.gap]), bound, floor)
             if found.gap < c.worst.value:
                 worst = replace(c.worst, value=found.gap, v=found.v, source=ADVERSARIAL_SOURCE)
                 results[k] = replace(c, worst=worst, min_value=found.gap)

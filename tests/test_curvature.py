@@ -148,6 +148,8 @@ def test_rows_do_not_depend_on_the_batch_split(width):
     parts = [seeded_draws((4, 1), lo, hi - lo, width) for lo, hi in ((0, 1), (1, 8), (8, 20))]
     assert np.array_equal(np.concatenate(parts), whole)
     assert np.array_equal(seeded_draws((4, 1), 13, 1, width)[0], whole[13])
+    # a numpy row index, as np.flatnonzero gives, draws the same row
+    assert np.array_equal(seeded_draws((4, 1), np.int64(13), 1, width, slots=2)[0, :width], whole[13])
 
 
 def test_unit_vectors_do_not_depend_on_their_count():

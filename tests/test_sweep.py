@@ -23,6 +23,8 @@ from ample.report import render
 from ample.errors import ConfigError, InconsistentStateError, InvalidInputError
 from ample.sweep import (
     ADVERSARIAL_SOURCE,
+    AUDIT_STRIDE,
+    BASIS_SOURCE,
     RANDOM_SOURCE,
     SweepConfig,
     export_histograms,
@@ -300,7 +302,7 @@ def test_the_search_runs_where_the_bound_cannot_decide(monkeypatch):
 
 def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
     # a bound pushed down on rows 3, 5 and 12 of every batch of 16 makes the
-    # batches search those samples alone
+    # batches search those samples and the audited sample 0 alone
     rows = np.array([3, 5, 12])
     det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
     starts = []
@@ -323,7 +325,7 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
     for ci, c in enumerate(res.results):
         for lo in (0, 16, 32):
             V0 = next(batches)
-            samples = [lo + int(j) for j in rows if lo + j < cfg.samples]
+            samples = [i for i in range(lo, min(lo + 16, cfg.samples)) if i - lo in rows or i % AUDIT_STRIDE == 0]
             assert len(V0) == len(samples)
             for row, i in zip(V0, samples):
                 pc = sweep_module.sample_curvature(c.rank, c.epsilon, (cfg.seed, ci, i))
@@ -344,6 +346,73 @@ def test_a_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
     assert error["type"] == "InconsistentStateError"
     assert error["message"].startswith("rank 2, epsilon 0.0, sample 0: gap ")
     assert " lies below its proven lower bound " in error["message"]
+
+
+def test_the_audit_searches_below_what_the_screen_finds(monkeypatch):
+    # the rank-2 bound at epsilon 0 is the minimum gap; raised by 1e-6 in
+    # det, 4e-6 in the gap, it lies above the minimum but below every random
+    # and basis vector's value, so only the search of sample 0, audited
+    # though certified, reaches below it
+    det_lower_bound = sweep_module.det_lower_bound
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: det_lower_bound(coeff) + 1e-6)
+    sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 8}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    assert (code, report["verdict"]) == (3, "error")
+    message = report["results"]["error"]["message"]
+    assert message.startswith("rank 2, epsilon 0.0, sample 0: gap ")
+    gap, bound = (float(word) for word in message.split(": gap ")[1].split(" lies below its proven lower bound "))
+    assert bound - gap == pytest.approx(4e-6, abs=1e-9)
+
+
+def test_a_polished_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
+    # the batches run on the true bound; only the polish finds values 1 lower
+    min_gap_over_v = sweep_module.min_gap_over_v
+
+    def lowered(*args, **kwargs):
+        return tuple(replace(found, gap=found.gap - 1.0) for found in min_gap_over_v(*args, **kwargs))
+
+    doc = {"command": "verify-lemma", "sweep": {"ranks": [2], "epsilons": [0.1], "samples": 8}}
+    code, report = cli.run(config_from_mapping(doc))
+    assert code == 0
+    (_, _, i) = report["results"]["configs"][0]["worst"]["seed"]
+    monkeypatch.setattr(sweep_module, "min_gap_over_v", lowered)
+    code, report = cli.run(config_from_mapping(doc))
+    assert (code, report["verdict"]) == (3, "error")
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    assert error["message"].startswith(f"rank 2, epsilon 0.1, sample {i}: gap ")
+    assert " lies below its proven lower bound " in error["message"]
+
+
+def test_a_worst_value_at_a_basis_vector_is_labelled_as_one():
+    # one random vector, so that the best basis vector often wins; samples
+    # 1-39 are certified and not audited, so no search runs
+    cfg = replace(SMALL, random_vectors=1)
+    sources = []
+    for lo in range(1, 40):
+        _, (i, v, source), *_ = sweep_module._run_batch(cfg, "gap", 0, 3, 0.0, lo, lo + 1)
+        is_basis = sorted(abs(x) for x in v) == [0.0, 0.0, 1.0]
+        assert source == (BASIS_SOURCE if is_basis else RANDOM_SOURCE), lo
+        sources.append(source)
+    assert BASIS_SOURCE in sources and RANDOM_SOURCE in sources
+
+
+def test_a_certified_sample_counts_as_converged_audited_or_not(monkeypatch):
+    # a descent that never converges leaves the converged share of an
+    # all-certified sweep at 1, although it searched the audited samples
+    descend, rows = sweep_module.minimize_on_sphere, []
+
+    def never_converging(M, *args):
+        V, f, converged = descend(M, *args)
+        rows.append(len(M))
+        return V, f, np.zeros_like(converged)
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", never_converging)
+    res = run_gap_sweep(replace(SMALL, samples=130, batch_size=50))
+    assert all(c.certified == 130 for c in res.results)
+    assert all(c.converged_fraction == 1.0 for c in res.results)
+    # samples 0, 64 and 128 in batches 0, 1 and 2 of each configuration
+    assert rows == [1, 1, 1] * len(res.results)
 
 
 @forks_a_pool
@@ -475,15 +544,14 @@ print(min(counts))
 
 def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
     # a gap batch picks every sample's first start, its best basis vector,
-    # through sweep's basis_and_random_starts with one restart, and searches
-    # only the samples its bound cannot certify; the polish descends through
-    # spheremin's minimize_on_sphere
+    # through sweep's basis_and_random_starts, and searches only the samples
+    # its bound cannot certify and the audited ones; the polish descends
+    # through spheremin's minimize_on_sphere
     first_starts, polish_starts = [], []
 
     def recording_starts(M, objective, restarts, *args):
         starts = make_starts(M, objective, restarts, *args)
-        if restarts == 1:
-            first_starts.append(starts)
+        first_starts.append(starts[:, :1])
         return starts
 
     def recording_descent(M, V0, *args, **kwargs):
