@@ -36,6 +36,7 @@ _LAZY = {
             "chern_densities",
             "error_term_density",
             "gap_lower_bound",
+            "griffiths_lower_bound",
             "lagrange_max",
             "lagrange_max_numeric",
             "lubke_constant",
@@ -73,7 +74,7 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AmpleError",
@@ -110,6 +111,7 @@ __all__ = [
     "error_term_density",
     "export_histograms",
     "gap_lower_bound",
+    "griffiths_lower_bound",
     "griffiths_min",
     "intersect",
     "is_semistable_split",

@@ -136,8 +136,7 @@ def _sweep(cfg: RunConfig, sweep, value_key: str, **extra) -> tuple[dict, str, l
 def _sweep_results(res, value_key: str) -> dict:
     configs = []
     for c in res.results:
-        # certified and min_bound are None in eigenvalue sweeps, which have no bound
-        doc = {key: value for key, value in asdict(c).items() if value is not None}
+        doc = asdict(c)
         doc["min"], doc["mean"] = doc.pop("min_value"), doc.pop("mean_value")
         doc["worst"] = {key: doc["worst"][key] for key in ("seed", "value", "v", "source")}
         configs.append(doc)

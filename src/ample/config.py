@@ -82,8 +82,10 @@ class SweepConfig:
         for name, minimum in INT_MINIMUMS.items():
             if getattr(self, name) < minimum:
                 raise InvalidInputError(f"{name} must be >= {minimum}")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInputError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise InvalidInputError(f"threshold must be finite and >= 0, got {self.threshold!r}")
         if self.mode not in MODES:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
 

@@ -15,7 +15,8 @@ error matrix B bounded entrywise by epsilon.  The sampler enforces all of
 these constraints by construction, solving for the dependent entries, rather
 than by projecting after the fact.
 
-A lower bound on the gap of the pointwise inequality (gap_lower_bound).
+Lower bounds on the gap of the pointwise inequality (gap_lower_bound) and
+on the smallest eigenvalue of the normalized form (griffiths_lower_bound).
 This is this repository's proof for the model above, not the paper's text.
 Write C_ab = coeff[:, :, a, b] and T = C00 + C11 = (2/r) Id + B, and let
 
@@ -24,9 +25,10 @@ Write C_ab = coeff[:, :, a, b] and T = C00 + C11 = (2/r) Id + B, and let
 Hermitian coefficients make every S_k Hermitian, and tr coeff = omega makes
 it trace-free.  For a unit vector v put t = <v, T v> and s_k = <v, S_k v>;
 then the form q = <v, Theta v> has q00 = t/2 + s3, q11 = t/2 - s3 and
-q01 = s1 - i s2, so det q = t^2/4 - |s|^2.  Two estimates bound it below:
+q01 = s1 - i s2, so its eigenvalues are t/2 +- |s| and det q = t^2/4 - |s|^2.
+Two estimates bound them (_bound_terms):
 
-- t >= lambda_min(T), so t^2 >= max(0, lambda_min(T))^2;
+- t >= lambda_min(T);
 - |s| = max over unit u in R^3 of <v, S_u v> with S_u = sum u_k S_k, which
   is at most lambda_max(S_u).  A trace-free Hermitian r x r matrix A has
   lambda_max(A)^2 <= ((r-1)/r) |A|_F^2 (its other eigenvalues sum to
@@ -34,13 +36,19 @@ q01 = s1 - i s2, so det q = t^2/4 - |s|^2.  Two estimates bound it below:
   |S_u|_F^2 = u^T G u <= lambda_max(G) for the Gram matrix
   G_kl = Re tr(S_k S_l^*), which is Re tr(S_k S_l) as the S_k are Hermitian.
 
-So det q >= max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max(G) for every v
-(det_lower_bound), and since the gap is (2r^2/k) det q + err - lhs with
-k = r^2 - 2r + 2 (gap_scale_offset), the same affine map of that bound is a
-lower bound on the gap over all v.  Both estimates are equalities at rank 2
-with B = 0, where t = 1 for every v and a trace-free 2 x 2 matrix has
-lambda_max^2 = |A|_F^2/2 exactly: the top eigenvector v of S_u, for u the
-top eigenvector of G, attains the bound, which is then the minimum gap.
+So for every unit v
+
+    lambda_min q >= lambda_min(T)/2 - sqrt(((r-1)/r) lambda_max G)
+    det q >= max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max(G)
+
+(griffiths_lower_bound, det_lower_bound), and since the gap is
+(2r^2/k) det q + err - lhs with k = r^2 - 2r + 2 (gap_scale_offset), the
+same affine map of the det bound is a lower bound on the gap over all v.
+Both estimates are equalities at rank 2 with B = 0, where t = 1 for every v
+and a trace-free 2 x 2 matrix has lambda_max^2 = |A|_F^2/2 exactly: the top
+eigenvector v of S_u, for u the top eigenvector of G, attains both bounds,
+which are then the minima.  At the projectively flat point every S_k is 0
+and T = (2/r) Id, so the Griffiths bound is 1/r, the minimum there.
 """
 
 from __future__ import annotations
@@ -415,13 +423,13 @@ def gap_scale_offset(r: int, epsilon: float, lhs):
     return 2.0 * r * r / k, error_term_density(r, epsilon) - lhs
 
 
-def det_lower_bound(coeff: np.ndarray) -> np.ndarray:
-    """Per-sample lower bound on det<v, Theta v> over unit v, for coeff of
-    shape (n, r, r, 2, 2): max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max G
+def _bound_terms(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (lambda_min T, ((r-1)/r) lambda_max G) for coeff of shape
+    (n, r, r, 2, 2): t >= the first and |s|^2 <= the second at every unit v
     (see the module docstring).
 
-    Each sample's value is computed by the same operations whatever the
-    batch, so its bits do not depend on the other samples.
+    Each sample's values are computed by the same operations whatever the
+    batch, so their bits do not depend on the other samples.
     """
     r = coeff.shape[1]
     c00, c11, c01, c10 = (coeff[..., a, b] for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)))
@@ -429,7 +437,26 @@ def det_lower_bound(coeff: np.ndarray) -> np.ndarray:
     G = np.einsum("nkij,nlij->nkl", S, np.conj(S)).real
     t_min = np.linalg.eigvalsh(c00 + c11)[:, 0]
     g_max = np.linalg.eigvalsh(G)[:, -1]
-    return np.maximum(t_min, 0.0) ** 2 / 4.0 - (r - 1) / r * g_max
+    return t_min, (r - 1) / r * g_max
+
+
+def det_lower_bound(coeff: np.ndarray) -> np.ndarray:
+    """Per-sample lower bound on det<v, Theta v> over unit v, for coeff of
+    shape (n, r, r, 2, 2): max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max G
+    (see the module docstring); its bits do not depend on the batch.
+    """
+    t_min, s_sq = _bound_terms(coeff)
+    return np.maximum(t_min, 0.0) ** 2 / 4.0 - s_sq
+
+
+def griffiths_lower_bound(coeff: np.ndarray) -> np.ndarray:
+    """Per-sample lower bound on the smallest eigenvalue of <v, Theta v> over
+    unit v, for coeff of shape (n, r, r, 2, 2):
+    lambda_min(T)/2 - sqrt(((r-1)/r) lambda_max G) (see the module
+    docstring); its bits do not depend on the batch.
+    """
+    t_min, s_sq = _bound_terms(coeff)
+    return t_min / 2.0 - np.sqrt(s_sq)
 
 
 def gap_lower_bound(coeff: np.ndarray, epsilon: float) -> np.ndarray:

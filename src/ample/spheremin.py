@@ -349,8 +349,8 @@ def _search(pcs: list[PointCurvature], objective, restarts: int, tol: float, ite
     a fixed default.  Rows never interact, so each row also ends with the
     bits of a search of its own.
     """
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and > 0, got {tol!r}")
     if len({pc.rank for pc in pcs}) != 1:
         raise InvalidInputError("a batched search needs instances of one rank")
     for pc in pcs:

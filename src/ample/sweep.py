@@ -1,15 +1,18 @@
 """Deterministic Monte Carlo sweeps over sampled curvatures.
 
-Two drivers share one batching engine.  The inequality sweep bounds the gap
-of the pointwise inequality below for every sample in closed form
-(curvature.det_lower_bound), evaluates it at random test vectors and at the
-best basis vector, and runs the adversarial multi-start search only on the
-samples whose bound is below -threshold and, as an audit of the bound, on
-every AUDIT_STRIDE-th sample; a sample whose bound is not below -threshold
-is certified, and its pass rests on the bound.  Every value found, the
-polished ones too, is checked against its sample's bound.  The positivity
-sweep searches every sample for the smallest eigenvalue of the normalized
-curvature form.
+Two drivers share one batching engine and one decision rule.  The
+inequality sweep's value at a unit vector is the gap of the pointwise
+inequality, the positivity sweep's the smallest eigenvalue of the
+normalized curvature form; a gap passes at >= -threshold, an eigenvalue
+when it is > 0 (_passes).  Every sample's value is bounded below over all
+vectors in closed form (curvature.det_lower_bound mapped to the gap,
+curvature.griffiths_lower_bound) and screened at random test vectors and at
+the best basis vector.  A sample is decided when its bound passes, and it
+is then certified, or when a screened value fails it.  The adversarial
+multi-start search runs only on the samples that are not decided and, as
+an audit of the bound, on every AUDIT_STRIDE-th sample.  A sweep passes
+when its lowest value found passes.  Every value found, the polished ones
+too, is checked against its sample's bound.
 
 Determinism contract: configuration config_index of a sweep with base
 seed s owns three Philox streams keyed by SeedSequence((s, config_index),
@@ -63,6 +66,7 @@ from .curvature import (
     det_lower_bound,
     error_term_density,
     gap_scale_offset,
+    griffiths_lower_bound,
     lagrange_max,
     lagrange_max_numeric,
     projectively_flat,
@@ -86,8 +90,8 @@ RANDOM_SOURCE = "random-vector"
 BASIS_SOURCE = "basis-vector"
 ADVERSARIAL_SOURCE = "adversarial"
 
-# a gap sweep searches every sample whose index is a multiple of this,
-# certified or not, so that every sweep tests the bound against a search
+# a sweep searches every sample whose index is a multiple of this, decided
+# or not, so that every sweep tests the bound against a search
 AUDIT_STRIDE = 64
 
 @dataclass(frozen=True)
@@ -98,8 +102,8 @@ class WorstRecord:
     reads as that sample's row of key (base seed, config index), so replaying
     it rebuilds the sample and the starts of its search; v is the offending
     vector; source tells whether a random test vector, the best basis vector
-    (screened by gap sweeps) or the adversarial search found it; mode is the
-    sampler mode, which replay_worst needs and reports leave out.
+    or the adversarial search found it; mode is the sampler mode, which
+    replay_worst needs and reports leave out.
     """
 
     rank: int
@@ -122,8 +126,8 @@ class ConfigResult:
     residual_max: dict[str, float]
     converged_fraction: float
     histogram: tuple[tuple[float, float, int], ...]
-    certified: int | None = None
-    min_bound: float | None = None
+    certified: int
+    min_bound: float
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ class SweepResult:
 def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
     lo = float(values.min())
     hi = float(values.max())
-    if lo == hi:
+    # np.histogram refuses a range that holds too few floats for distinct edges
+    if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0).all():
         return ((lo, hi, int(values.size)),)
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return tuple(
@@ -150,16 +155,16 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
 
     Returns (values, minimum, residual maxima, converged count, bound),
     where minimum is (sample index, v, source) of the first lowest value and
-    bound is (certified count, lowest bound) for a gap batch and None for an
-    eigenvalue batch.  A gap batch bounds every sample's gap below
-    (_gap_bound) and evaluates it at the random test vectors and the best
-    basis vector, the first start of a search.  It searches the samples
-    whose bound is below -threshold, and, as an audit of the bound, those
-    whose index is a multiple of AUDIT_STRIDE; the others are certified.
-    A certified sample counts as converged, a searched one that is not
-    certified when it converged in every start.  A value below its sample's
-    bound by more than rounding is InconsistentStateError, since the bound
-    is a theorem.
+    bound is (certified count, lowest bound).  Every sample's value is
+    bounded below in closed form (_bound) and screened at the random test
+    vectors and the best basis vector, the first start of a search.  A
+    sample is decided when its bound passes (_passes) or a screened value
+    fails; the search runs on the samples that are not decided and, as an
+    audit of the bound, on those whose index is a multiple of AUDIT_STRIDE.
+    A certified sample is one whose bound passes.  A decided sample counts
+    as converged, a searched one that is not decided when it converged in
+    every start.  A value below its sample's bound by more than rounding is
+    InconsistentStateError, since the bound is a theorem.
     A batch whose constraint residuals fail check_residuals' rule stops
     right after them and returns NaN values and no minimum: the search
     would only run on numbers that break the constraints.
@@ -178,32 +183,23 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     M = form_matrices(coeff)
 
     R = cfg.random_vectors
-    if kind == "gap":
-        objective = det_objective
-        scale, offsets, bound, floor = _gap_bound(coeff, epsilon)
-        uncertified = bound < -cfg.threshold
-        audited = np.arange(lo, hi) % AUDIT_STRIDE == 0
-        searched = np.flatnonzero(uncertified | audited)
-        restarts = cfg.restarts if searched.size else 1
-    else:
-        objective, scale, offsets = lmin_objective, 1.0, np.zeros(n)
-        searched, restarts = slice(None), cfg.restarts
-    V0 = basis_and_random_starts(M, objective, restarts, key, lo)
-    # a gap batch also screens every sample's best basis vector, its first
-    # start, which a certified sample is never searched from
-    first = V0[:, : 1 if kind == "gap" else 0]
-    V0 = V0[searched]
+    objective, scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
+    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
     # the random test vectors go first, so that a value of the search counts
     # only where it is lower; an unsearched sample's search columns keep +inf
-    screened = R + first.shape[1]
+    screened = R + 1
     V = np.concatenate(
-        [random_unit_vectors(key, lo, n, R, r, (2,)), first, np.zeros((n, cfg.restarts, r), complex)],
+        [random_unit_vectors(key, lo, n, R, r, (2,)), V0[:, :1], np.zeros((n, cfg.restarts, r), complex)],
         axis=1,
     )
     f = np.full(V.shape[:2], np.inf)
     f[:, :screened] = objective_values(M, V[:, :screened], objective)
+    screen = (scale * f[:, :screened] + offsets[:, None]).min(axis=1)
+    certified = _passes(cfg, kind, bound)
+    decided = certified | ~_passes(cfg, kind, screen)
+    searched = np.flatnonzero(~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0))
     V[searched, screened:], f[searched, screened:], converged = minimize_on_sphere(
-        M[searched], V0, objective, cfg.iterations, cfg.tol
+        M[searched], V0[searched], objective, cfg.iterations, cfg.tol
     )
     values = scale * f + offsets[:, None]
     idx = np.argmin(values, axis=1)
@@ -211,14 +207,37 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     i = int(np.argmin(values))
     source = RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE if idx[i] < screened else ADVERSARIAL_SOURCE
     minimum = (lo + i, tuple(V[i, idx[i]]), source)
-    converged = converged.all(axis=1)
-    if kind != "gap":
-        return values, minimum, residual_max, int(converged.sum()), None
-    _check_gap_bound(r, epsilon, range(lo, hi), values, bound, floor)
-    certified = n - int(uncertified.sum())
-    # a certified sample counts as converged, audited or not
-    converged = certified + int(converged[uncertified[searched]].sum())
-    return values, minimum, residual_max, converged, (certified, float(bound.min()))
+    _check_bound(kind, r, epsilon, range(lo, hi), values, bound, floor)
+    # a decided sample counts as converged, audited or not
+    converged = int(decided.sum()) + int(converged.all(axis=1)[~decided[searched]].sum())
+    return values, minimum, residual_max, converged, (int(certified.sum()), float(bound.min()))
+
+
+def _passes(cfg: SweepConfig, kind: str, x):
+    """The pass predicate of a sweep kind, on values or on bounds: a gap
+    passes at >= -threshold, a smallest eigenvalue when it is > 0.
+
+    A sweep passes when its lowest value does (_run_sweep), a sample is
+    certified when its bound does and refuted when a value found fails.
+    """
+    return x >= -cfg.threshold if kind == "gap" else x > 0
+
+
+def _bound(kind: str, coeff: np.ndarray, epsilon: float):
+    """(objective, scale, offsets, bound, floor) of a batch of one sweep kind.
+
+    A value at v is scale * objective + offsets per sample; bound is each
+    sample's proven lower bound on its values over all v, and floor is bound
+    less the rounding a computed value may carry, the lowest value
+    _check_bound accepts.  A gap is an affine map of det (_gap_bound); a
+    smallest eigenvalue is the objective itself, with its rounding taken
+    relative to the size of its bound.
+    """
+    if kind == "gap":
+        return (det_objective, *_gap_bound(coeff, epsilon))
+    bound = griffiths_lower_bound(coeff)
+    floor = bound - VALIDATION_TOL * (1.0 + np.abs(bound))
+    return lmin_objective, 1.0, np.zeros(len(bound)), bound, floor
 
 
 def _gap_bound(coeff: np.ndarray, epsilon: float):
@@ -227,7 +246,7 @@ def _gap_bound(coeff: np.ndarray, epsilon: float):
     gap(v) = scale * det<v, Theta v>/<v, v> + offsets per sample, bound is
     each sample's proven lower bound on its gap (det_lower_bound mapped the
     same way), and floor is bound less the rounding a computed gap may
-    carry, the lowest value _check_gap_bound accepts.
+    carry: VALIDATION_TOL relative to the terms whose difference the gap is.
     """
     r = coeff.shape[1]
     lhs = batch_lhs_density(coeff)
@@ -237,17 +256,18 @@ def _gap_bound(coeff: np.ndarray, epsilon: float):
     return scale, offsets, bound, floor
 
 
-def _check_gap_bound(r: int, epsilon: float, samples, values, bound, floor) -> None:
+def _check_bound(kind: str, r: int, epsilon: float, samples, values, bound, floor) -> None:
     """Raise InconsistentStateError at the first value below its floor.
 
     samples are the sample indices of the values; the bound is a theorem,
-    so a gap found below it is a bug in the code, not in the lemma.
+    so a value found below it is a bug in the code, not in the mathematics.
     """
     below = np.flatnonzero(values < floor)
     if below.size:
         j = int(below[0])
+        what = "gap" if kind == "gap" else "smallest eigenvalue"
         raise InconsistentStateError(
-            f"rank {r}, epsilon {epsilon!r}, sample {samples[j]}: gap {float(values[j])!r} "
+            f"rank {r}, epsilon {epsilon!r}, sample {samples[j]}: {what} {float(values[j])!r} "
             f"lies below its proven lower bound {float(bound[j])!r}"
         )
 
@@ -271,7 +291,7 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
         for k, pc, found in zip(idx, pcs, refined):
             c = results[k]
             _, _, bound, floor = _gap_bound(pc.coeff[None], c.epsilon)
-            _check_gap_bound(r, c.epsilon, c.worst.seed[2:], np.array([found.gap]), bound, floor)
+            _check_bound("gap", r, c.epsilon, c.worst.seed[2:], np.array([found.gap]), bound, floor)
             if found.gap < c.worst.value:
                 worst = replace(c.worst, value=found.gap, v=found.v, source=ADVERSARIAL_SOURCE)
                 results[k] = replace(c, worst=worst, min_value=found.gap)
@@ -292,10 +312,6 @@ def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> Confi
     # the configuration's first minimum is the first minimum of its batch
     i, v, source = minima[int(np.argmin(values)) // cfg.batch_size]
     worst = WorstRecord(r, epsilon, (cfg.seed, ci, i), float(values[i]), v, source, cfg.mode)
-    certified = min_bound = None
-    if bounds[0] is not None:
-        certified = sum(c for c, _ in bounds)
-        min_bound = min(b for _, b in bounds)
     return ConfigResult(
         rank=r,
         epsilon=epsilon,
@@ -306,8 +322,8 @@ def _reduce(cfg: SweepConfig, ci: int, r: int, epsilon: float, batches) -> Confi
         residual_max=residual_max,
         converged_fraction=sum(converged) / values.size,
         histogram=_histogram(values, cfg.histogram_bins),
-        certified=certified,
-        min_bound=min_bound,
+        certified=sum(c for c, _ in bounds),
+        min_bound=min(b for _, b in bounds),
     )
 
 
@@ -482,11 +498,7 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
     residual_max = max(
         v for c in results for k, v in c.residual_max.items() if k != "b_bound"
     )
-    if kind == "gap":
-        passed = min_value >= -cfg.threshold
-    else:
-        passed = min_value > 0
-    return SweepResult(results, min_value, residual_max, passed)
+    return SweepResult(results, min_value, residual_max, _passes(cfg, kind, min_value))
 
 
 def run_gap_sweep(cfg: SweepConfig) -> SweepResult:
@@ -494,7 +506,8 @@ def run_gap_sweep(cfg: SweepConfig) -> SweepResult:
 
     Per sample, the gap is bounded below in closed form and evaluated at
     `random_vectors` random unit vectors and the best basis vector; a sample
-    whose bound is below -threshold is also minimized adversarially from
+    whose bound is below -threshold and whose values found are not, and
+    every AUDIT_STRIDE-th sample, is also minimized adversarially from
     `restarts` starts.  Passing means the minimum over everything found is
     at least -threshold.  Each configuration reports how many samples the
     bound certified and the lowest bound.
@@ -505,10 +518,18 @@ def run_gap_sweep(cfg: SweepConfig) -> SweepResult:
 def run_griffiths_sweep(cfg: SweepConfig) -> SweepResult:
     """Minimum eigenvalue sweep of the normalized form <v, Theta v>.
 
-    Passing means every sampled curvature stayed strictly positive, i.e.
-    Griffiths positivity held at each sampled point.  Random curvatures
-    need not be positive; the projectively-flat mode gives the clean
-    reference value 1/r.
+    Per sample, the smallest eigenvalue over unit v is bounded below in
+    closed form and evaluated at `random_vectors` random unit vectors and
+    the best basis vector.  A sample whose bound is > 0 is certified
+    Griffiths positive, and one with a value <= 0 found is refuted; only the
+    others, and every AUDIT_STRIDE-th sample, are also minimized
+    adversarially from `restarts` starts.  Passing means every value found
+    stayed strictly positive, i.e. Griffiths positivity held at each
+    sampled point as far as the bound and the search can tell.  Each
+    configuration reports how many samples the bound certified and the
+    lowest bound.  Random curvatures need not be positive; the
+    projectively-flat mode gives the clean reference value 1/r, which is
+    also its bound.
     """
     return _run_sweep(cfg, "griffiths")
 

@@ -11,6 +11,7 @@ from ample.curvature import (
     chern_densities,
     error_term_density,
     gap_lower_bound,
+    griffiths_lower_bound,
     lagrange_max,
     lagrange_max_numeric,
     lhs_density,
@@ -25,7 +26,7 @@ from ample.curvature import (
     wedge_density,
 )
 from ample.errors import InconsistentStateError, InvalidInputError
-from ample.spheremin import min_gap_over_v, random_unit_vectors
+from ample.spheremin import griffiths_min, min_gap_over_v, random_unit_vectors
 
 
 def as_form(rows):
@@ -421,4 +422,41 @@ def test_the_gap_bound_of_a_sample_does_not_depend_on_its_batch():
     whole = gap_lower_bound(coeff, 0.1)
     for size in (1, 100):
         parts = [gap_lower_bound(coeff[lo : lo + size], 0.1) for lo in range(0, 777, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+
+def searched_eigenvalues(pcs):
+    return np.array([griffiths_min(pc, restarts=10, tol=1e-10, iterations=2000) for pc in pcs])
+
+
+def griffiths_bounds(pcs):
+    return np.concatenate([griffiths_lower_bound(pc.coeff[None]) for pc in pcs])
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_the_search_never_goes_below_the_griffiths_bound(r):
+    rng = np.random.default_rng(r)
+    pcs = [sample_curvature(r, eps, (13, i)) for eps in (0.0, 0.01, 0.1) for i in range(4)]
+    pcs += [entrywise_family(r, 0.1), unitary_conjugate(entrywise_family(r, 0.1), random_unitary(rng, r))]
+    # the smallest eigenvalue of q is at most |q|, which no entry of these
+    # curvatures takes far above 1
+    assert np.all(searched_eigenvalues(pcs) >= griffiths_bounds(pcs) - 1e-9)
+
+
+def test_the_griffiths_bound_is_the_minimum_at_rank_two_without_error():
+    pcs = [sample_curvature(2, 0.0, (14, i)) for i in range(12)]
+    bound = griffiths_lower_bound(np.stack([pc.coeff for pc in pcs]))
+    assert np.abs(searched_eigenvalues(pcs) - bound).max() <= 1e-9
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_the_griffiths_bound_is_one_over_r_at_the_flat_point(r):
+    assert griffiths_lower_bound(projectively_flat(r).coeff[None])[0] == pytest.approx(1.0 / r, abs=1e-15)
+
+
+def test_the_griffiths_bound_of_a_sample_does_not_depend_on_its_batch():
+    coeff, _ = build_batch(4, 0.1, seeded_draws((5,), 0, 777, _coefficient_count(4)))
+    whole = griffiths_lower_bound(coeff)
+    for size in (1, 100):
+        parts = [griffiths_lower_bound(coeff[lo : lo + size]) for lo in range(0, 777, size)]
         assert np.concatenate(parts).tobytes() == whole.tobytes(), size

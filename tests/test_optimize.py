@@ -306,8 +306,9 @@ def test_restart_validation():
     pc = sample_curvature(2, 0.0, 0)
     with pytest.raises(InvalidInputError):
         min_gap_over_v(pc, restarts=0)
-    with pytest.raises(InvalidInputError):
-        min_gap_over_v(pc, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="^tol must be finite and > 0"):
+            min_gap_over_v(pc, tol=tol)
 
 
 def test_basis_start_is_best_basis_vector():

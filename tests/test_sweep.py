@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import json
+import math
 import os
 import platform
 import select
@@ -74,15 +75,15 @@ def test_sweep_independent_of_thread_count_and_batch_size():
     def bounds(res):
         return [(c.certified, repr(c.min_bound)) for c in res.results]
 
+    # both kinds bound every sample, so the certified counts and the lowest
+    # bounds of both must match too
     for sweep in (run_gap_sweep, run_griffiths_sweep):
         base = sweep(SMALL)
+        assert all(isinstance(c.certified, int) and np.isfinite(c.min_bound) for c in base.results)
         for changes in ({"threads": 4}, {"batch_size": 1}, {"batch_size": 7}, {"batch_size": 13, "threads": 3}):
             other = sweep(replace(SMALL, **changes))
             assert other == base, changes
             assert bounds(other) == bounds(base), changes
-    # a gap sweep certifies, an eigenvalue sweep has no bound
-    assert all(c.certified is not None for c in run_gap_sweep(SMALL).results)
-    assert bounds(base) == [(None, "None")] * len(base.results)
 
 
 def test_pool_never_has_more_workers_than_jobs_or_cpus(monkeypatch):
@@ -415,6 +416,88 @@ def test_a_certified_sample_counts_as_converged_audited_or_not(monkeypatch):
     assert rows == [1, 1, 1] * len(res.results)
 
 
+def test_a_refuted_griffiths_sample_is_not_searched_and_counts_as_converged(monkeypatch):
+    # at rank 3 a random curvature has a screened value <= 0; a descent that
+    # never converges then runs on the audited samples alone and leaves the
+    # converged share at 1, although no sample is certified
+    descend, rows = sweep_module.minimize_on_sphere, []
+
+    def never_converging(M, *args):
+        V, f, converged = descend(M, *args)
+        rows.append(len(M))
+        return V, f, np.zeros_like(converged)
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", never_converging)
+    res = run_griffiths_sweep(replace(SMALL, ranks=(3,), samples=130, batch_size=50))
+    assert not res.passed
+    assert all(c.certified == 0 and c.converged_fraction == 1.0 for c in res.results)
+    # samples 0, 64 and 128 in batches 0, 1 and 2 of each configuration
+    assert rows == [1, 1, 1] * len(res.results)
+
+
+def flat_batch(r, epsilon, uniforms):
+    """build_batch's stand-in: every sample is the projectively flat point,
+    whose smallest eigenvalue is 1/r at every vector."""
+    pf = sweep_module.projectively_flat(r)
+    n = uniforms.shape[0]
+    return np.repeat(pf.coeff[None], n, axis=0), np.repeat(pf.B[None], n, axis=0)
+
+
+def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypatch):
+    # a bound pushed down to -1 on rows 3, 5 and 12 of every batch of 16
+    # leaves those samples undecided, as their screened value 1/r is
+    # positive; the batches search them, and the audited sample 0, each
+    # from the starts of a search of its own
+    rows = np.array([3, 5, 12])
+    griffiths_lower_bound, descend = sweep_module.griffiths_lower_bound, sweep_module.minimize_on_sphere
+    starts = []
+
+    def lowered(coeff):
+        bound = griffiths_lower_bound(coeff)
+        bound[rows[rows < len(bound)]] = -1.0
+        return bound
+
+    def recording(M, V0, *args):
+        starts.append(V0)
+        return descend(M, V0, *args)
+
+    monkeypatch.setattr(sweep_module, "build_batch", flat_batch)
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lowered)
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording)
+    cfg = replace(SMALL, batch_size=16)
+    res = run_griffiths_sweep(cfg)
+    assert res.passed
+    assert [c.certified for c in res.results] == [cfg.samples - 8] * len(res.results)
+    batches = iter(starts)
+    for ci, c in enumerate(res.results):
+        M = spheremin.form_matrices(flat_batch(c.rank, c.epsilon, np.zeros((1, 1)))[0])
+        for lo in (0, 16, 32):
+            V0 = next(batches)
+            samples = [i for i in range(lo, min(lo + 16, cfg.samples)) if i - lo in rows or i % AUDIT_STRIDE == 0]
+            assert len(V0) == len(samples)
+            for row, i in zip(V0, samples):
+                alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, (cfg.seed, ci), i)
+                assert np.array_equal(row, alone[0]), (ci, i)
+
+
+def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
+    # the rank-2 Griffiths bound at epsilon 0 is the minimum; raised by 1e-6
+    # it lies above the minimum but below every random and basis vector's
+    # value, so only the search of sample 0, audited though refuted,
+    # reaches below it
+    griffiths_lower_bound = sweep_module.griffiths_lower_bound
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff: griffiths_lower_bound(coeff) + 1e-6)
+    sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 8}
+    code, report = cli.run(config_from_mapping({"command": "griffiths", "sweep": sweep_keys}))
+    assert (code, report["verdict"]) == (3, "error")
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    message = error["message"]
+    assert message.startswith("rank 2, epsilon 0.0, sample 0: smallest eigenvalue ")
+    value, bound = (float(word) for word in message.split(": smallest eigenvalue ")[1].split(" lies below its proven lower bound "))
+    assert bound - value == pytest.approx(1e-6, abs=1e-9)
+
+
 @forks_a_pool
 def test_a_worker_out_of_memory_is_an_error_and_the_pool_goes_on():
     # the seed-1 sweep runs out of memory in a worker only; the seed-2 sweep
@@ -619,6 +702,14 @@ def test_projectively_flat_mode_pins_the_boundary():
         assert c.min_value == pytest.approx(1.0 / c.rank, abs=1e-9)
 
 
+def test_values_a_few_ulps_apart_make_one_histogram_bin():
+    # np.histogram refuses 40 bins on a range that holds fewer floats, as the
+    # values of samples at one curvature can span
+    values = np.array([0.5, np.nextafter(0.5, 0.0), 0.5])
+    assert sweep_module._histogram(values, 40) == ((float(values[1]), 0.5, 3),)
+    assert sweep_module._histogram(np.full(4, 0.25), 40) == ((0.25, 0.25, 4),)
+
+
 def test_histogram_export_round_trips(tmp_path):
     res = run_gap_sweep(SMALL)
     path = tmp_path / "hist.csv"
@@ -700,3 +791,22 @@ def test_integer_minimums_hold_in_the_library_and_the_config(name, minimum):
     with pytest.raises(ConfigError) as exc:
         config_from_mapping(doc)
     assert str(exc.value) == f"sweep.{name}: must be >= {minimum}, got {minimum - 1}"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("tol", 0.0), ("tol", -1e-6), ("tol", float("nan")), ("tol", float("inf")),
+     ("threshold", -1e-9), ("threshold", float("nan")), ("threshold", float("inf"))],
+)
+def test_tol_and_threshold_must_be_finite_with_tol_positive(name, value):
+    # a NaN threshold fails every value yet certifies every bound, and a NaN
+    # tol stops every descent before its first step yet counts it converged
+    rule = "> 0" if name == "tol" else ">= 0"
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite and {rule}, got "):
+        SweepConfig(ranks=(2,), **{name: value})
+    assert SweepConfig(ranks=(2,), tol=1e-300, threshold=0.0).threshold == 0.0
+    if math.isfinite(value):
+        doc = {"command": "verify-lemma", "sweep": {"ranks": [2], name: value}}
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping(doc)
+        assert str(exc.value).startswith(f"sweep: {name} must be finite and {rule}, got ")
