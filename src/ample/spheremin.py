@@ -304,8 +304,8 @@ def basis_and_random_starts(
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     n, _, _, _, r = M.shape
-    basis = np.broadcast_to(np.eye(r, dtype=np.complex128), (n, r, r))
-    f_basis = objective_values(M, basis, objective)
+    # the forms at basis vector e_i are M[..., a, b, i, i]
+    f_basis = objective(np.moveaxis(np.diagonal(M, axis1=-2, axis2=-1), -1, 1))[0]
     best = np.argmin(f_basis, axis=1)
     V0 = np.zeros((n, restarts, r), dtype=np.complex128)
     V0[np.arange(n), 0, best] = 1.0

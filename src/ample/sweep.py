@@ -46,6 +46,7 @@ import atexit
 import csv
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
@@ -150,24 +151,56 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
     )
 
 
-def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int):
-    """Evaluate samples lo..hi-1 of one configuration; pure in (cfg, args).
+@dataclass
+class _Screened:
+    """A batch that _run_batch has screened, bounded and decided, held until
+    its searched rows have been descended.
 
-    Returns (values, minimum, residual maxima, converged count, bound),
-    where minimum is (sample index, v, source) of the first lowest value and
-    bound is (certified count, lowest bound).  Every sample's value is
-    bounded below in closed form (_bound) and screened at the random test
-    vectors and the best basis vector, the first start of a search.  A
-    sample is decided when its bound passes (_passes) or a screened value
-    fails; the search runs on the samples that are not decided and, as an
-    audit of the bound, on those whose index is a multiple of AUDIT_STRIDE.
-    A certified sample is one whose bound passes.  A decided sample counts
-    as converged, a searched one that is not decided when it converged in
-    every start.  A value below its sample's bound by more than rounding is
-    InconsistentStateError, since the bound is a theorem.
+    values are the samples' lowest screened values, minimum the (sample
+    index, v, source) of the first lowest sample that is not searched, or
+    None.  The searched rows carry their form matrices M, starts V0,
+    offsets, and their best screened vector and source; watch are the rows
+    whose values _finish checks against their bound and floor: the searched
+    rows and the first unsearched one that lies below its floor already.
+    decided counts the decided samples, and undecided marks the searched
+    rows that are not decided.
+    """
+
+    kind: str
+    r: int
+    epsilon: float
+    lo: int
+    values: np.ndarray
+    minimum: tuple | None
+    residual_max: dict[str, float]
+    bounds: tuple[int, float] | None
+    decided: int = 0
+    searched: np.ndarray | tuple = ()
+    undecided: np.ndarray | None = None
+    M: np.ndarray | None = None
+    V0: np.ndarray | None = None
+    scale: float = 1.0
+    offsets: np.ndarray | None = None
+    best_v: np.ndarray | None = None
+    best_source: tuple[str, ...] = ()
+    watch: np.ndarray | None = None
+    bound: np.ndarray | None = None
+    floor: np.ndarray | None = None
+
+
+def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int) -> _Screened:
+    """Screen, bound and decide samples lo..hi-1 of one configuration; pure in (cfg, args).
+
+    Every sample's value is bounded below in closed form (_bound) and
+    screened at the random test vectors and the best basis vector, the
+    first start of a search.  A sample is decided when its bound passes
+    (_passes) or a screened value fails; the samples that are not decided
+    and, as an audit of the bound, those whose index is a multiple of
+    AUDIT_STRIDE are left to search, which _run_batches runs for a run of
+    batches at once and _finish completes.
     A batch whose constraint residuals fail check_residuals' rule stops
-    right after them and returns NaN values and no minimum: the search
-    would only run on numbers that break the constraints.
+    right after them with NaN values, no minimum and nothing to search: the
+    search would only run on numbers that break the constraints.
     """
     n = hi - lo
     key = (cfg.seed, ci)
@@ -179,38 +212,124 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         coeff, B = build_batch(r, epsilon, seeded_draws(key, lo, n, _coefficient_count(r)))
     residual_max = _batch_residuals(coeff, B, epsilon)
     if violations(residual_max):
-        return np.full(n, np.nan), None, residual_max, 0, None
+        return _Screened(kind, r, epsilon, lo, np.full(n, np.nan), None, residual_max, None)
     M = form_matrices(coeff)
 
     R = cfg.random_vectors
-    objective, scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
+    objective = _objective(kind)
+    scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
     V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
-    # the random test vectors go first, so that a value of the search counts
-    # only where it is lower; an unsearched sample's search columns keep +inf
-    screened = R + 1
-    V = np.concatenate(
-        [random_unit_vectors(key, lo, n, R, r, (2,)), V0[:, :1], np.zeros((n, cfg.restarts, r), complex)],
-        axis=1,
-    )
-    f = np.full(V.shape[:2], np.inf)
-    f[:, :screened] = objective_values(M, V[:, :screened], objective)
-    screen = (scale * f[:, :screened] + offsets[:, None]).min(axis=1)
+    # the random test vectors go first, so that the best basis vector counts
+    # only where it is lower
+    V = np.concatenate([random_unit_vectors(key, lo, n, R, r, (2,)), V0[:, :1]], axis=1)
+    screen = scale * objective_values(M, V, objective) + offsets[:, None]
+    idx = np.argmin(screen, axis=1)
+    values = screen[np.arange(n), idx]
     certified = _passes(cfg, kind, bound)
-    decided = certified | ~_passes(cfg, kind, screen)
-    searched = np.flatnonzero(~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0))
-    V[searched, screened:], f[searched, screened:], converged = minimize_on_sphere(
-        M[searched], V0[searched], objective, cfg.iterations, cfg.tol
+    decided = certified | ~_passes(cfg, kind, values)
+    search = ~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0)
+    searched, free = np.flatnonzero(search), np.flatnonzero(~search)
+
+    def source(i):
+        return RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE
+
+    minimum = None
+    if free.size:
+        i = int(free[np.argmin(values[free])])
+        minimum = (lo + i, tuple(V[i, idx[i]]), source(i))
+    watch = np.union1d(searched, free[values[free] < floor[free]][:1])
+    return _Screened(
+        kind, r, epsilon, lo, values, minimum, residual_max,
+        (int(certified.sum()), float(bound.min())),
+        decided=int(decided.sum()),
+        searched=searched,
+        undecided=~decided[searched],
+        M=M[searched],
+        V0=V0[searched],
+        scale=scale,
+        offsets=offsets[searched],
+        best_v=V[searched, idx[searched]],
+        best_source=tuple(source(i) for i in searched),
+        watch=watch,
+        bound=bound[watch],
+        floor=floor[watch],
     )
-    values = scale * f + offsets[:, None]
-    idx = np.argmin(values, axis=1)
-    values = values[np.arange(n), idx]
+
+
+def _finish(s: _Screened, V: np.ndarray, f: np.ndarray, converged: np.ndarray):
+    """A screened batch's result, given the search (V, f, converged) of its searched rows.
+
+    Returns (values, minimum, residual maxima, converged count, bound), where
+    minimum is (sample index, v, source) of the first lowest value and bound
+    is (certified count, lowest bound).  A searched value counts where it is
+    lower than the sample's screened value.  A certified sample is one whose
+    bound passes.  A decided sample counts as converged, audited or not, a
+    searched one that is not decided when it converged in every start.  A
+    value below its sample's bound by more than rounding is
+    InconsistentStateError, since the bound is a theorem.
+    """
+    values = s.values
+    if s.bounds is None:  # a batch that broke the constraints
+        return values, None, s.residual_max, 0, None
+    k = len(s.searched)
+    found = s.scale * f + s.offsets[:, None]
+    best = np.argmin(found, axis=1)
+    found = found[np.arange(k), best]
+    lower = found < values[s.searched]
+    values[s.searched[lower]] = found[lower]
+    _check_bound(s.kind, s.r, s.epsilon, s.lo + s.watch, values[s.watch], s.bound, s.floor)
     i = int(np.argmin(values))
-    source = RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE if idx[i] < screened else ADVERSARIAL_SOURCE
-    minimum = (lo + i, tuple(V[i, idx[i]]), source)
-    _check_bound(kind, r, epsilon, range(lo, hi), values, bound, floor)
-    # a decided sample counts as converged, audited or not
-    converged = int(decided.sum()) + int(converged.all(axis=1)[~decided[searched]].sum())
-    return values, minimum, residual_max, converged, (int(certified.sum()), float(bound.min()))
+    j = int(np.searchsorted(s.searched, i))
+    minimum = s.minimum
+    if j < k and s.searched[j] == i:
+        if lower[j]:
+            minimum = (s.lo + i, tuple(V[j, best[j]]), ADVERSARIAL_SOURCE)
+        else:
+            minimum = (s.lo + i, tuple(s.best_v[j]), s.best_source[j])
+    converged = s.decided + int(converged.all(axis=1)[s.undecided].sum())
+    return values, minimum, s.residual_max, converged, s.bounds
+
+
+def _run_batches(cfg: SweepConfig, kind: str, r: int, batches) -> list:
+    """The results of a run of batches (ci, epsilon, lo, hi) of rank r, in order.
+
+    _run_batch screens, bounds and decides each batch, and the searched
+    rows of consecutive batches descend in one minimize_on_sphere call, so
+    that a run pays the descent's per-call cost once, not per batch.  The
+    rows pending a search never pass batch_size: a batch that would take
+    them past it first has the pending ones searched.  Rows never
+    interact, so every value has the bits of a search per batch, and the
+    batches are finished in order, so an InconsistentStateError names the
+    first offending sample.
+    """
+    results, pending = [], []
+    for ci, epsilon, lo, hi in batches:
+        screened = _run_batch(cfg, kind, ci, r, epsilon, lo, hi)
+        if sum(len(s.searched) for s in pending) + len(screened.searched) > cfg.batch_size:
+            results += _search_batches(cfg, kind, r, pending)
+            pending = []
+        pending.append(screened)
+    return results + _search_batches(cfg, kind, r, pending)
+
+
+def _search_batches(cfg: SweepConfig, kind: str, r: int, pending: list[_Screened]) -> list:
+    """Descend the searched rows of screened batches of rank r together, and finish each."""
+    shape = (0, cfg.restarts)
+    V, f, converged = np.empty((*shape, r), complex), np.empty(shape), np.empty(shape, dtype=bool)
+    rows = [s for s in pending if len(s.searched)]
+    if rows:
+        V, f, converged = minimize_on_sphere(
+            np.concatenate([s.M for s in rows]),
+            np.concatenate([s.V0 for s in rows]),
+            _objective(kind),
+            cfg.iterations,
+            cfg.tol,
+        )
+    ends = np.cumsum([len(s.searched) for s in pending])[:-1]
+    return [
+        _finish(s, *parts)
+        for s, *parts in zip(pending, np.split(V, ends), np.split(f, ends), np.split(converged, ends))
+    ]
 
 
 def _passes(cfg: SweepConfig, kind: str, x):
@@ -223,21 +342,26 @@ def _passes(cfg: SweepConfig, kind: str, x):
     return x >= -cfg.threshold if kind == "gap" else x > 0
 
 
-def _bound(kind: str, coeff: np.ndarray, epsilon: float):
-    """(objective, scale, offsets, bound, floor) of a batch of one sweep kind.
+def _objective(kind: str):
+    """The objective a sweep kind descends, looked up on this module when called."""
+    return det_objective if kind == "gap" else lmin_objective
 
-    A value at v is scale * objective + offsets per sample; bound is each
-    sample's proven lower bound on its values over all v, and floor is bound
-    less the rounding a computed value may carry, the lowest value
-    _check_bound accepts.  A gap is an affine map of det (_gap_bound); a
-    smallest eigenvalue is the objective itself, with its rounding taken
+
+def _bound(kind: str, coeff: np.ndarray, epsilon: float):
+    """(scale, offsets, bound, floor) of a batch of one sweep kind.
+
+    A value at v is scale * objective + offsets per sample (_objective);
+    bound is each sample's proven lower bound on its values over all v, and
+    floor is bound less the rounding a computed value may carry, the lowest
+    value _check_bound accepts.  A gap is an affine map of det (_gap_bound);
+    a smallest eigenvalue is the objective itself, with its rounding taken
     relative to the size of its bound.
     """
     if kind == "gap":
-        return (det_objective, *_gap_bound(coeff, epsilon))
+        return _gap_bound(coeff, epsilon)
     bound = griffiths_lower_bound(coeff)
     floor = bound - VALIDATION_TOL * (1.0 + np.abs(bound))
-    return lmin_objective, 1.0, np.zeros(len(bound)), bound, floor
+    return 1.0, np.zeros(len(bound)), bound, floor
 
 
 def _gap_bound(coeff: np.ndarray, epsilon: float):
@@ -365,8 +489,8 @@ def _usable_cpus() -> int:
 
 
 def _run_job(job: tuple):
-    """_run_batch(*job), a module function so that a process pool sends it by name."""
-    return _run_batch(*job)
+    """_run_batches(*job), a module function so that a process pool sends it by name."""
+    return _run_batches(*job)
 
 
 # the pool of multi-worker sweeps on Linux, as (workers, executor)
@@ -478,14 +602,22 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
         configs = [(r, 0.0) for r in cfg.ranks]
         samples = 1
     spans = [(lo, min(lo + cfg.batch_size, samples)) for lo in range(0, samples, cfg.batch_size)]
-    jobs = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
-    workers = min(cfg.threads, len(jobs), _usable_cpus())
+    batches = [(ci, r, e, lo, hi) for ci, (r, e) in enumerate(configs) for lo, hi in spans]
+    workers = min(cfg.threads, len(batches), _usable_cpus())
+    # each rank's consecutive batches split into min(workers, their count)
+    # contiguous runs, the jobs, which a worker screens batch by batch and
+    # searches together
+    jobs = []
+    for r, group in itertools.groupby(batches, key=lambda batch: batch[1]):
+        group = [(ci, e, lo, hi) for ci, _, e, lo, hi in group]
+        runs = min(workers, len(group))
+        jobs += [(cfg, kind, r, group[k * len(group) // runs : (k + 1) * len(group) // runs]) for k in range(runs)]
     per = len(spans)
     _check_array_sizes(cfg, spans[0][1])
     try:
-        batches = _map_jobs([(cfg, kind, *job) for job in jobs], workers)
+        done = [batch for run in _map_jobs(jobs, workers) for batch in run]
         results = [
-            _reduce(cfg, ci, r, e, batches[ci * per : (ci + 1) * per])
+            _reduce(cfg, ci, r, e, done[ci * per : (ci + 1) * per])
             for ci, (r, e) in enumerate(configs)
         ]
         if kind == "gap":

@@ -303,7 +303,9 @@ def test_the_search_runs_where_the_bound_cannot_decide(monkeypatch):
 
 def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
     # a bound pushed down on rows 3, 5 and 12 of every batch of 16 makes the
-    # batches search those samples and the audited sample 0 alone
+    # sweep search those samples and the audited sample 0 alone; one worker
+    # descends them rank by rank in sample order, so the rows of the calls
+    # in order are the searched samples of the configurations in order
     rows = np.array([3, 5, 12])
     det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
     starts = []
@@ -322,17 +324,18 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
     cfg = replace(SMALL, batch_size=16)
     res = run_gap_sweep(cfg)
     assert [c.certified for c in res.results] == [cfg.samples - 8] * len(res.results)
-    batches = iter(starts)
-    for ci, c in enumerate(res.results):
-        for lo in (0, 16, 32):
-            V0 = next(batches)
-            samples = [i for i in range(lo, min(lo + 16, cfg.samples)) if i - lo in rows or i % AUDIT_STRIDE == 0]
-            assert len(V0) == len(samples)
-            for row, i in zip(V0, samples):
-                pc = sweep_module.sample_curvature(c.rank, c.epsilon, (cfg.seed, ci, i))
-                M = spheremin.form_matrices(pc.coeff[None])
-                alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (cfg.seed, ci), i)
-                assert np.array_equal(row, alone[0]), (ci, i)
+    searched = [
+        (ci, i) for ci in range(len(res.results)) for i in range(cfg.samples)
+        if i % 16 in rows or i % AUDIT_STRIDE == 0
+    ]
+    V0 = [row for call in starts for row in call]
+    assert len(V0) == len(searched)
+    for row, (ci, i) in zip(V0, searched):
+        c = res.results[ci]
+        pc = sweep_module.sample_curvature(c.rank, c.epsilon, (cfg.seed, ci, i))
+        M = spheremin.form_matrices(pc.coeff[None])
+        alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (cfg.seed, ci), i)
+        assert np.array_equal(row, alone[0]), (ci, i)
 
 
 def test_a_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
@@ -390,8 +393,9 @@ def test_a_worst_value_at_a_basis_vector_is_labelled_as_one():
     # 1-39 are certified and not audited, so no search runs
     cfg = replace(SMALL, random_vectors=1)
     sources = []
-    for lo in range(1, 40):
-        _, (i, v, source), *_ = sweep_module._run_batch(cfg, "gap", 0, 3, 0.0, lo, lo + 1)
+    results = sweep_module._run_batches(cfg, "gap", 3, [(0, 0.0, lo, lo + 1) for lo in range(1, 40)])
+    for lo, (_, (i, v, source), *_) in zip(range(1, 40), results, strict=True):
+        assert i == lo
         is_basis = sorted(abs(x) for x in v) == [0.0, 0.0, 1.0]
         assert source == (BASIS_SOURCE if is_basis else RANDOM_SOURCE), lo
         sources.append(source)
@@ -412,8 +416,9 @@ def test_a_certified_sample_counts_as_converged_audited_or_not(monkeypatch):
     res = run_gap_sweep(replace(SMALL, samples=130, batch_size=50))
     assert all(c.certified == 130 for c in res.results)
     assert all(c.converged_fraction == 1.0 for c in res.results)
-    # samples 0, 64 and 128 in batches 0, 1 and 2 of each configuration
-    assert rows == [1, 1, 1] * len(res.results)
+    # samples 0, 64 and 128 of each configuration, in batches 0, 1 and 2,
+    # descended in one search per rank
+    assert rows == [3 * len(SMALL.epsilons)] * len(SMALL.ranks)
 
 
 def test_a_refuted_griffiths_sample_is_not_searched_and_counts_as_converged(monkeypatch):
@@ -431,8 +436,9 @@ def test_a_refuted_griffiths_sample_is_not_searched_and_counts_as_converged(monk
     res = run_griffiths_sweep(replace(SMALL, ranks=(3,), samples=130, batch_size=50))
     assert not res.passed
     assert all(c.certified == 0 and c.converged_fraction == 1.0 for c in res.results)
-    # samples 0, 64 and 128 in batches 0, 1 and 2 of each configuration
-    assert rows == [1, 1, 1] * len(res.results)
+    # samples 0, 64 and 128 of each configuration, in batches 0, 1 and 2,
+    # descended in one search of the one rank
+    assert rows == [3 * len(res.results)]
 
 
 def flat_batch(r, epsilon, uniforms):
@@ -446,8 +452,9 @@ def flat_batch(r, epsilon, uniforms):
 def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypatch):
     # a bound pushed down to -1 on rows 3, 5 and 12 of every batch of 16
     # leaves those samples undecided, as their screened value 1/r is
-    # positive; the batches search them, and the audited sample 0, each
-    # from the starts of a search of its own
+    # positive; the sweep searches them, and the audited sample 0, each
+    # from the starts of a search of its own, one worker rank by rank in
+    # sample order
     rows = np.array([3, 5, 12])
     griffiths_lower_bound, descend = sweep_module.griffiths_lower_bound, sweep_module.minimize_on_sphere
     starts = []
@@ -468,16 +475,17 @@ def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypa
     res = run_griffiths_sweep(cfg)
     assert res.passed
     assert [c.certified for c in res.results] == [cfg.samples - 8] * len(res.results)
-    batches = iter(starts)
-    for ci, c in enumerate(res.results):
+    searched = [
+        (ci, i) for ci in range(len(res.results)) for i in range(cfg.samples)
+        if i % 16 in rows or i % AUDIT_STRIDE == 0
+    ]
+    V0 = [row for call in starts for row in call]
+    assert len(V0) == len(searched)
+    for row, (ci, i) in zip(V0, searched):
+        c = res.results[ci]
         M = spheremin.form_matrices(flat_batch(c.rank, c.epsilon, np.zeros((1, 1)))[0])
-        for lo in (0, 16, 32):
-            V0 = next(batches)
-            samples = [i for i in range(lo, min(lo + 16, cfg.samples)) if i - lo in rows or i % AUDIT_STRIDE == 0]
-            assert len(V0) == len(samples)
-            for row, i in zip(V0, samples):
-                alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, (cfg.seed, ci), i)
-                assert np.array_equal(row, alone[0]), (ci, i)
+        alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, (cfg.seed, ci), i)
+        assert np.array_equal(row, alone[0]), (ci, i)
 
 
 def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
