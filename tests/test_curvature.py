@@ -5,6 +5,7 @@ from ample.curvature import (
     PointCurvature,
     _box_muller,
     _coefficient_count,
+    _top_eigenvalue,
     batch_lhs_density,
     build_batch,
     c2_density_pairwise,
@@ -460,3 +461,67 @@ def test_the_griffiths_bound_of_a_sample_does_not_depend_on_its_batch():
     for size in (1, 100):
         parts = [griffiths_lower_bound(coeff[lo : lo + size]) for lo in range(0, 777, size)]
         assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+
+def gram(coeff):
+    """G_kl = Re tr(S_k S_l) of a batch of coefficients, as the curvature
+    module's proof defines it."""
+    c00, c11, c01, c10 = (coeff[..., a, b] for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    S = np.stack([(c01 + c10) / 2, 1j * (c01 - c10) / 2, (c00 - c11) / 2], axis=1)
+    return np.einsum("nkij,nlji->nkl", S, S).real
+
+
+def assert_top_eigenvalue(G, rel=1e-13):
+    expected = np.linalg.eigvalsh(G)[:, -1]
+    assert np.all(np.abs(_top_eigenvalue(G) - expected) <= rel * np.abs(expected))
+
+
+def test_the_closed_form_top_eigenvalue_of_sampled_gram_matrices_is_eigvalshs():
+    rng = np.random.default_rng(21)
+    for r in range(2, 8):
+        pcs = [entrywise_family(r, 0.1), unitary_conjugate(entrywise_family(r, 0.1), random_unitary(rng, r))]
+        coeff = np.stack([pc.coeff for pc in pcs])
+        for eps in (0.0, 0.01, 0.1, 0.5, 1.0):
+            batch, _ = build_batch(r, eps, seeded_draws((21, r), 0, 500, _coefficient_count(r)))
+            coeff = np.concatenate([coeff, batch])
+        assert_top_eigenvalue(gram(coeff))
+
+
+def test_the_closed_form_top_eigenvalue_is_exact_at_a_multiple_of_the_identity():
+    assert _top_eigenvalue(gram(projectively_flat(4).coeff[None]))[0] == 0.0
+    assert _top_eigenvalue(np.zeros((1, 3, 3)))[0] == 0.0
+    c = np.array([0.1, 1 / 3, 7.25, 1e-200])
+    assert _top_eigenvalue(c[:, None, None] * np.eye(3)).tolist() == c.tolist()
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_the_closed_form_top_eigenvalue_of_a_rank_one_gram_matrix(r):
+    # S_k = u_k A with A = a diag(r-1, -1, ..., -1) trace-free and u a unit
+    # vector: G = |A|_F^2 u u^T, of rank 1, with top eigenvalue a^2 r (r-1)
+    rng = np.random.default_rng(r)
+    a = 0.1
+    A = a * np.diag([r - 1.0] + [-1.0] * (r - 1))
+    coeff = np.zeros((8, r, r, 2, 2), dtype=np.complex128)
+    for n, u in enumerate([(0.0, 0.0, 1.0), *rng.standard_normal((7, 3))]):
+        u = np.asarray(u) / np.linalg.norm(u)
+        coeff[n, ..., 0, 0] = np.eye(r) / r + u[2] * A
+        coeff[n, ..., 1, 1] = np.eye(r) / r - u[2] * A
+        coeff[n, ..., 0, 1] = (u[0] - 1j * u[1]) * A
+        coeff[n, ..., 1, 0] = (u[0] + 1j * u[1]) * A
+        validate(PointCurvature(r, coeff[n], 0.0, np.zeros((r, r))))
+    G = gram(coeff)
+    assert_top_eigenvalue(G)
+    assert _top_eigenvalue(G) == pytest.approx(np.full(8, a * a * r * (r - 1)), rel=1e-13)
+
+
+def test_the_closed_form_top_eigenvalue_when_it_is_doubled_or_nearly_so():
+    # G = Q diag(l, l (1 - g), m) Q^T with m < l, for g from 0 to 1e-1
+    rng = np.random.default_rng(22)
+    n = 2000
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    scale = 10.0 ** rng.uniform(-3, 3, n)
+    g = np.where(np.arange(n) % 4 == 0, 0.0, 10.0 ** rng.uniform(-16, -1, n))
+    eigenvalues = np.stack([np.ones(n), 1 - g, rng.uniform(0.0, 0.9, n)], axis=1) * scale[:, None]
+    G = np.einsum("nij,nj,nkj->nik", Q, eigenvalues, Q)
+    assert_top_eigenvalue(G)
+    assert _top_eigenvalue(G) == pytest.approx(scale, rel=1e-13)

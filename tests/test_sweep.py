@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -338,6 +339,104 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
         assert np.array_equal(row, alone[0]), (ci, i)
 
 
+def test_a_run_of_batches_is_searched_in_one_descent_per_rank(monkeypatch):
+    # one worker runs each rank's 3 epsilons x 3 batches as one run, and
+    # descends its undecided and audited samples in one call, each sample
+    # once, in sample order; a bound pushed down wherever coeff[0, 0, 0, 0]
+    # > 0.9 leaves about one in twenty samples undecided.  A batch_size of
+    # 7 makes the runs flush their pending rows many times over, and the
+    # report stays byte for byte the same
+    det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
+    calls = []
+
+    def lowered(coeff):
+        bound = det_lower_bound(coeff)
+        bound[coeff[:, 0, 0, 0, 0].real > 0.9] = -1e6
+        return bound
+
+    def recording(M, V0, *args):
+        calls.append(M)
+        return descend(M, V0, *args)
+
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lowered)
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording)
+    sweep_keys = {
+        "ranks": [2, 3], "epsilons": [0.0, 0.01, 0.1], "samples": 150, "batch_size": 50,
+        "threads": 1, "seed": 3, "restarts": 3, "random_vectors": 4, "iterations": 40,
+    }
+
+    def text(**changes):
+        doc = {"command": "verify-lemma", "sweep": dict(sweep_keys, **changes)}
+        code, report = cli.run(config_from_mapping(doc))
+        assert code == 0
+        return render(report)
+
+    first = text()
+    assert len(calls) == 2
+    searched = []
+    for ci, (r, eps) in enumerate((r, eps) for r in (2, 3) for eps in (0.0, 0.01, 0.1)):
+        for i in range(150):
+            pc = sweep_module.sample_curvature(r, eps, (3, ci, i))
+            if pc.coeff[0, 0, 0, 0].real > 0.9 or i % AUDIT_STRIDE == 0:
+                searched.append(spheremin.form_matrices(pc.coeff[None])[0])
+    rows = [M for call in calls for M in call]
+    assert len(rows) == len(searched) > 6 * 3
+    assert all(np.array_equal(a, b) for a, b in zip(rows, searched))
+    calls.clear()
+    assert text(batch_size=7) == first
+    assert len(calls) > 2 and sum(len(M) for M in calls) == len(searched)
+
+
+@pytest.mark.parametrize("command", ["griffiths", "verify-lemma"])
+def test_wrapped_module_functions_leave_a_two_worker_sweep_unchanged(monkeypatch, command):
+    # a tracer replaces the functions a sweep looks up on ample.sweep with
+    # wrappers of the same name and module; a job that carried one of them
+    # to a worker process would fail to pickle
+    doc = {"command": command, "sweep": {"ranks": [2, 3], "samples": 40, "batch_size": 10, "threads": 2}}
+    plain = render(cli.run(config_from_mapping(doc))[1])
+    names = (
+        "det_objective", "lmin_objective", "minimize_on_sphere",
+        "basis_and_random_starts", "objective_values", "build_batch",
+    )
+    for name in names:
+        fn = getattr(sweep_module, name)
+        monkeypatch.setattr(sweep_module, name, functools.wraps(fn)(lambda *a, _fn=fn, **k: _fn(*a, **k)))
+    assert render(cli.run(config_from_mapping(doc))[1]) == plain
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 4096])
+def test_the_first_sample_below_its_bound_is_named_though_a_later_screen_fails_first(monkeypatch, batch_size):
+    # rank 2 at epsilon 0, where the bound is the minimum gap: audited sample
+    # 64 has its bound raised by 1e-6 in det, which only its search reaches
+    # below, and sample 70 by 1, which its screen already lies below, so the
+    # batch holding 70 knows of its failure before 64 is searched
+    j, k = 64, 70
+    first = {
+        sweep_module.sample_curvature(2, 0.0, (7, 0, i)).coeff[0, 0, 0, 0]: lift
+        for i, lift in ((j, 1e-6), (k, 1.0))
+    }
+    det_lower_bound = sweep_module.det_lower_bound
+
+    def raised(coeff, lifts):
+        bound = det_lower_bound(coeff)
+        for n, x in enumerate(coeff[:, 0, 0, 0, 0]):
+            bound[n] += lifts.get(x, 0.0)
+        return bound
+
+    def error(lifts):
+        monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: raised(coeff, lifts))
+        sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 80, "seed": 7, "batch_size": batch_size}
+        code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+        assert (code, report["verdict"]) == (3, "error")
+        return report["results"]["error"]["message"]
+
+    assert error({x: v for x, v in first.items() if v == 1.0}).startswith(f"rank 2, epsilon 0.0, sample {k}: gap ")
+    message = error(first)
+    assert message.startswith(f"rank 2, epsilon 0.0, sample {j}: gap ")
+    gap, bound = (float(word) for word in message.split(": gap ")[1].split(" lies below its proven lower bound "))
+    assert bound - gap == pytest.approx(4e-6, abs=1e-9)
+
+
 def test_a_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
     # a bound raised by 1 in det, so 2r^2/k >= 2 in the gap: the rank-2
     # bound is the minimum gap, so every rank-2 value lies below it
@@ -486,6 +585,27 @@ def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypa
         M = spheremin.form_matrices(flat_batch(c.rank, c.epsilon, np.zeros((1, 1)))[0])
         alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, (cfg.seed, ci), i)
         assert np.array_equal(row, alone[0]), (ci, i)
+
+
+def test_a_search_that_finds_nothing_lower_keeps_the_screened_vector(monkeypatch):
+    # every flat sample is searched under a bound pushed down to -1; a
+    # stand-in descent that finds nothing below +inf leaves each sample its
+    # screened value, and the worst record its screened vector and source
+    def nothing_lower(M, V0, *args):
+        shape = V0.shape[:2]
+        return V0, np.full(shape, np.inf), np.ones(shape, dtype=bool)
+
+    monkeypatch.setattr(sweep_module, "build_batch", flat_batch)
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff: np.full(len(coeff), -1.0))
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", nothing_lower)
+    res = run_griffiths_sweep(replace(SMALL, batch_size=16))
+    for c in res.results:
+        assert (c.certified, c.converged_fraction) == (0, 1.0)
+        assert c.worst.source in (RANDOM_SOURCE, BASIS_SOURCE)
+        v = np.array(c.worst.v)
+        flat = sweep_module.projectively_flat(c.rank).coeff
+        q = np.einsum("i,ijab,j->ab", np.conj(v), flat, v) / np.vdot(v, v).real
+        assert np.linalg.eigvalsh(q)[0] == pytest.approx(c.worst.value, abs=1e-12)
 
 
 def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
