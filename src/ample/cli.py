@@ -361,7 +361,8 @@ def _merge_flags(doc: dict, args) -> dict:
 
 
 def _check_writable(cfg: RunConfig) -> None:
-    """Fail before the run when an output file cannot be opened; a missing one is created."""
+    """Fail before the run when an output file cannot be opened (a missing one
+    is created) or when the report would overwrite the histograms' file."""
     for key in ("output_path", "csv_path"):
         path = getattr(cfg, key)
         if path:
@@ -369,6 +370,8 @@ def _check_writable(cfg: RunConfig) -> None:
                 open(path, "a", encoding="utf-8").close()
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc.strerror}", path=key) from exc
+    if cfg.output_path and cfg.csv_path and os.path.samefile(cfg.output_path, cfg.csv_path):
+        raise ConfigError(f"{cfg.csv_path} names the same file as output_path", path="csv_path")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -158,9 +158,14 @@ def residuals(pc: PointCurvature) -> dict[str, float]:
     return _batch_residuals(pc.coeff[None], pc.B[None], pc.epsilon)
 
 
+def gating_residuals(res: dict[str, float]) -> dict[str, float]:
+    """The structural residuals, which gate a verdict: all but b_bound (see residuals)."""
+    return {k: v for k, v in res.items() if k != "b_bound"}
+
+
 def violations(res: dict[str, float]) -> dict[str, float]:
-    """The structural residuals that are not <= VALIDATION_TOL; NaN counts, b_bound is skipped."""
-    return {k: v for k, v in res.items() if k != "b_bound" and not (v <= VALIDATION_TOL)}
+    """The gating residuals (gating_residuals) that are not <= VALIDATION_TOL; NaN counts."""
+    return {k: v for k, v in gating_residuals(res).items() if not (v <= VALIDATION_TOL)}
 
 
 def check_residuals(res: dict[str, float], where: str = "") -> None:
@@ -201,23 +206,16 @@ def seed_position(seed: Seed) -> tuple[tuple[int, ...], int]:
 
 
 def seeded_draws(
-    key: tuple[int, ...],
-    lo: int,
-    n: int,
-    width: int,
-    spawn_key: tuple[int, ...] = (0,),
-    normal: bool = False,
-    slots: int = 1,
+    key: tuple[int, ...], lo: int, n: int, width: int, spawn_key: tuple[int, ...] = (0,), slots: int = 1
 ) -> np.ndarray:
-    """(n, slots * width) draws; row i holds slots 0..slots-1 of row lo + i.
+    """(n, slots * width) uniform draws on [0, 1); row i holds slots
+    0..slots-1 of row lo + i.
 
     The stream is Philox keyed by SeedSequence(key, spawn_key=spawn_key).
     Slot j of row i is the first width outputs from counter
     i * ceil(width / 4) + j * 2**128: each row owns a fixed-stride window of
     whole 4-word Philox blocks, so a row never depends on how rows are
-    split into batches, nor a slot on how many slots are drawn.  Draws are
-    uniform on [0, 1) or, with normal, standard normal by Box-Muller, which
-    pairs the two halves of an even width.
+    split into batches, nor a slot on how many slots are drawn.
     """
     state = np.random.SeedSequence(key, spawn_key=spawn_key).generate_state(2, np.uint64)
     stride = -(-width // 4)
@@ -225,8 +223,6 @@ def seeded_draws(
     for j in range(slots):
         bitgen = np.random.Philox(key=state, counter=int(lo) * stride + (j << 128))
         out[:, j] = np.random.Generator(bitgen).random((n, 4 * stride))[:, :width]
-    if normal:
-        out = _box_muller(out)
     return out.reshape(n, slots * width)
 
 

@@ -20,7 +20,8 @@ sweep descend the searched rows of several batches in one call, and makes
 more restarts a strict superset of fewer.  The starts of an instance are its
 best standard basis vector, read off the diagonal of its form matrices, and
 random unit vectors of the stream that also gives a sweep's random test
-vectors (basis_and_random_starts).
+vectors (random_unit_vectors), joined by basis_and_random_starts in every
+search alike.
 
 An objective takes q, the (n, S, 2, 2) block of forms q_ab = <v, M_ab v> at
 unit vectors v, and returns f, its coefficients (c00, c11, c01, c10) and its
@@ -38,6 +39,7 @@ import numpy as np
 
 from .curvature import (
     PointCurvature,
+    _box_muller,
     batch_lhs_density,
     gap_scale_offset,
     seed_position,
@@ -293,32 +295,19 @@ def _descend(M: np.ndarray, V0: np.ndarray, objective, iterations: int, tol: flo
     converged[rows] = ~active[:, 0]
 
 
-def basis_and_random_starts(
-    M: np.ndarray,
-    objective,
-    restarts: int,
-    key: tuple[int, ...],
-    lo: int,
-    random: np.ndarray | None = None,
-) -> np.ndarray:
+def basis_and_random_starts(M: np.ndarray, objective, restarts: int, random: np.ndarray) -> np.ndarray:
     """Starting block of shape (n, restarts, r): the best standard basis
     vector per instance first, then restarts-1 random unit vectors.
 
     The objective at basis vector e_i is its value at the forms
-    M[..., a, b, i, i].  Instance t is row lo + t of key; its random starts
-    are slots 0..restarts-2 of that row in stream VECTOR_STREAM of the key,
-    the stream of a sweep's random test vectors, so they never collide with
-    the draws that built the instance itself.  A caller that has drawn
-    those slots already, as a sweep batch has, passes them as random, a
-    block (n, count, r) with count >= restarts-1, and nothing is drawn.
+    M[..., a, b, i, i].  The random starts are the first restarts-1 vectors
+    of random, a block (n, count, r) with count >= restarts-1 that the
+    caller draws with random_unit_vectors, so that every search, a sweep
+    batch's, the polish's and a public one, takes them from one stream.
     """
-    if restarts < 1:
-        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
     n, _, _, _, r = M.shape
     f_basis = objective(np.moveaxis(np.diagonal(M, axis1=-2, axis2=-1), -1, 1))[0]
     best = np.argmin(f_basis, axis=1)
-    if random is None:
-        random = random_unit_vectors(key, lo, n, restarts - 1, r, VECTOR_STREAM)
     V0 = np.empty((n, restarts, r), dtype=np.complex128)
     V0[:, 0] = 0.0
     V0[np.arange(n), 0, best] = 1.0
@@ -326,17 +315,16 @@ def basis_and_random_starts(
     return V0
 
 
-def random_unit_vectors(
-    key: tuple[int, ...], lo: int, n: int, count: int, r: int, spawn_key: tuple[int, ...]
-) -> np.ndarray:
+def random_unit_vectors(key: tuple[int, ...], lo: int, n: int, count: int, r: int) -> np.ndarray:
     """count unit vectors in C^r for each of rows lo..lo+n-1, shape (n, count, r).
 
-    Vector j of a row is slot j of the row in the stream of key and
-    spawn_key: 2r standard normals, real parts first, then normalized.  It
-    depends on neither count nor n.
+    Vector j of a row is slot j of the row in stream VECTOR_STREAM of key,
+    which a sweep's random test vectors and every search's random starts
+    share: 2r uniforms made normals by Box-Muller on the slot's two halves,
+    real parts first, then normalized.  It depends on neither count nor n.
     """
-    z = seeded_draws(key, lo, n, 2 * r, spawn_key, normal=True, slots=count)
-    z = z.reshape(n, count, 2 * r)
+    u = seeded_draws(key, lo, n, 2 * r, VECTOR_STREAM, slots=count)
+    z = _box_muller(u.reshape(n, count, 2 * r))
     return _normalize(z[..., :r] + 1j * z[..., r:])
 
 
@@ -356,10 +344,10 @@ def _search(pcs: list[PointCurvature], objective, restarts: int, tol: float, ite
     """Validated multi-start search on instances of one rank; (V, f, converged)
     with one row per instance.
 
-    Each instance starts where a search of its own would: the starts are
-    deterministic given its seed, and instances built without a seed share
-    a fixed default.  Rows never interact, so each row also ends with the
-    bits of a search of its own.
+    Each instance starts where a search of its own would, from the random
+    vectors a sweep batch draws for its seed's row (random_unit_vectors);
+    instances built without a seed share a fixed default.  Rows never
+    interact, so each row also ends with the bits of a search of its own.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tol must be finite and > 0, got {tol!r}")
@@ -367,16 +355,15 @@ def _search(pcs: list[PointCurvature], objective, restarts: int, tol: float, ite
         raise InvalidInputError("a batched search needs instances of one rank")
     for pc in pcs:
         validate(pc)
-    M = form_matrices(np.stack([pc.coeff for pc in pcs]))
-    V0 = np.concatenate([
-        basis_and_random_starts(
-            M[j : j + 1],
-            objective,
-            restarts,
-            *seed_position(pc.seed if pc.seed is not None else DEFAULT_START_SEED),
-        )
-        for j, pc in enumerate(pcs)
+    if restarts < 1:
+        raise InvalidInputError(f"restarts must be >= 1, got {restarts}")
+    r = pcs[0].rank
+    random = np.concatenate([
+        random_unit_vectors(*seed_position(DEFAULT_START_SEED if pc.seed is None else pc.seed), 1, restarts - 1, r)
+        for pc in pcs
     ])
+    M = form_matrices(np.stack([pc.coeff for pc in pcs]))
+    V0 = basis_and_random_starts(M, objective, restarts, random)
     return minimize_on_sphere(M, V0, objective, iterations, tol)
 
 

@@ -18,8 +18,7 @@ Determinism contract: configuration config_index of a sweep with base
 seed s owns Philox streams keyed by SeedSequence((s, config_index),
 spawn_key=(k,)): stream 0 samples the curvatures and stream 2 gives the
 random test vectors, whose first restarts - 1 slots are also the random
-starts of the adversarial search; stream 1, which held the starts before
-0.7.0, is no longer read.  Sample i reads row i of each stream, a
+starts of the adversarial search.  Sample i reads row i of each stream, a
 fixed-stride window that no other sample touches (see
 curvature.seeded_draws), so a batch draws all its samples with one
 generator per stream and vector slot, and a sample never depends on the
@@ -73,6 +72,7 @@ from .curvature import (
     det_lower_bound,
     error_term_density,
     gap_scale_offset,
+    gating_residuals,
     griffiths_lower_bound,
     lagrange_max,
     lagrange_max_numeric,
@@ -83,7 +83,6 @@ from .curvature import (
 )
 from .errors import AmpleError, InconsistentStateError, InvalidInputError
 from .spheremin import (
-    VECTOR_STREAM,
     basis_and_random_starts,
     det_objective,
     form_matrices,
@@ -202,8 +201,8 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
     # the random test vectors are the first slots of their stream and the
     # random starts of a search its first restarts - 1
-    random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r, VECTOR_STREAM)
-    V0 = basis_and_random_starts(M, objective, cfg.restarts, key, lo, random)
+    random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r)
+    V0 = basis_and_random_starts(M, objective, cfg.restarts, random)
     # the random test vectors go first, so that the best basis vector counts
     # only where it is lower
     V = np.concatenate([random[:, :R], V0[:, :1]], axis=1)
@@ -432,11 +431,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_job(job: tuple):
-    """_run_batches(*job), a module function so that a process pool sends it by name."""
-    return _run_batches(*job)
-
-
 # the pool of multi-worker sweeps on Linux, as (workers, executor)
 _pool = None
 
@@ -499,23 +493,25 @@ def _worker_init() -> None:
 
 
 def _map_jobs(jobs: list[tuple], workers: int) -> list:
-    """_run_job over jobs on `workers` workers, with the results in job order.
+    """_run_batches(*job) for each job on `workers` workers, with the results
+    in job order.
 
     One worker runs the jobs inline.  More run on the process pool on Linux
-    and on a thread pool of the sweep's own elsewhere.  A worker that dies
-    is an AmpleError, and the next sweep forks a fresh pool.
+    and on a thread pool of the sweep's own elsewhere; _run_batches is a
+    module function, so a process pool sends it by name.  A worker that
+    dies is an AmpleError, and the next sweep forks a fresh pool.
     """
     if workers == 1:
-        return [_run_job(job) for job in jobs]
+        return [_run_batches(*job) for job in jobs]
     if not sys.platform.startswith("linux"):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs))
+            return list(pool.map(_run_batches, *zip(*jobs)))
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        return list(_process_pool(workers).map(_run_job, jobs))
+        return list(_process_pool(workers).map(_run_batches, *zip(*jobs)))
     except BrokenProcessPool as exc:
         _close_pool()
         raise AmpleError(f"a sweep worker process died: {exc}") from None
@@ -572,9 +568,7 @@ def _run_sweep(cfg: SweepConfig, kind: str) -> SweepResult:
         raise AmpleError(f"a sweep ran out of memory: {exc}") from None
     results = tuple(results)
     min_value = min(c.min_value for c in results)
-    residual_max = max(
-        v for c in results for k, v in c.residual_max.items() if k != "b_bound"
-    )
+    residual_max = max(v for c in results for v in gating_residuals(c.residual_max).values())
     return SweepResult(results, min_value, residual_max, _passes(cfg, kind, min_value))
 
 
@@ -641,10 +635,10 @@ class LagrangeCheckResult:
     passed: bool
 
 
-def run_lagrange_check(samples: int, seed: int, max_rank: int = 8) -> LagrangeCheckResult:
+def run_lagrange_check(samples: int, seed: int) -> LagrangeCheckResult:
     """Compare the closed-form constrained maximum against iterative ascent.
 
-    Draws random (rank, mu, trace-free diagonal B with entries in
+    Draws random (rank 2-8, mu, trace-free diagonal B with entries in
     [-0.2, 0.2]) instances from one seeded stream and records the largest
     absolute disagreement; passing means it stays within 1e-6.
     """
@@ -656,7 +650,7 @@ def run_lagrange_check(samples: int, seed: int, max_rank: int = 8) -> LagrangeCh
     worst = None
     max_diff = -1.0
     for _ in range(samples):
-        r = int(g.integers(2, max_rank + 1))
+        r = int(g.integers(2, 9))
         mu = float(g.uniform(-2.0, 2.0))
         b = g.uniform(-0.1, 0.1, size=r)
         b -= b.mean()

@@ -302,6 +302,31 @@ def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypa
     assert calls == []
 
 
+def test_out_and_csv_naming_one_file_exit_2_before_the_sweep(capsys, tmp_path, monkeypatch):
+    # by the flags and by the config keys, through a relative path and a
+    # link; the report would otherwise overwrite the histograms
+    calls = []
+    sweep = cli.run_gap_sweep
+    monkeypatch.setattr(cli, "run_gap_sweep", lambda cfg: calls.append(cfg) or sweep(cfg))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to(tmp_path / "x.json")
+    sweep_doc = {"ranks": [2], "samples": 2, "seed": 0}
+    path = write_config(tmp_path, {"sweep": sweep_doc})
+    for out, csv_path in (("x.json", "x.json"), (str(tmp_path / "x.json"), "./x.json"), ("x.json", "link.json")):
+        code, out_text, err = invoke(capsys, ["verify-lemma", "--config", path, "--out", out, "--csv", csv_path])
+        assert code == 2
+        assert out_text == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("csv_path: ") and "same file" in error["message"]
+    doc = {"output_path": "link.json", "csv_path": str(tmp_path / "x.json"), "sweep": sweep_doc}
+    code, out_text, err = invoke(capsys, ["verify-lemma", "--config", write_config(tmp_path, doc, "keys.json")])
+    assert code == 2
+    assert out_text == ""
+    assert json.loads(err)["error"]["message"].startswith("csv_path: ")
+    assert calls == []
+
+
 def test_command_mismatch_between_flag_and_file(capsys, tmp_path):
     path = write_config(tmp_path, {"command": "check", "ring": P2})
     code, out, err = invoke(capsys, ["nakai", "--config", path])

@@ -135,11 +135,24 @@ def test_seeded_draws_match_a_philox_oracle():
                     for i in range(4)
                 ]
                 assert np.array_equal(got, np.array(want))
+    def normals(u):
+        half = len(u) // 2
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:half]))
+        angle = 2 * np.pi * u[half:]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+
     u = philox_uniforms((3, 1), 2, 8, (2,))
-    normals = seeded_draws((3, 1), 2, 1, 8, (2,), normal=True)[0]
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[:4]))
-    want = np.concatenate([radius * np.cos(2 * np.pi * u[4:]), radius * np.sin(2 * np.pi * u[4:])])
-    assert normals == pytest.approx(want, rel=1e-13, abs=1e-15)
+    got = _box_muller(seeded_draws((3, 1), 2, 1, 8, (2,)))[0]
+    assert got == pytest.approx(normals(u), rel=1e-13, abs=1e-15)
+    # the random test vectors and random starts: slot j of row lo + i in
+    # stream (2,), two halves of 4 uniforms made normals, normalized
+    for key, lo, r in (((3, 1), 2, 4), ((2**40 + 5, 1), 2**40, 3)):
+        got = random_unit_vectors(key, lo, 3, 5, r)
+        for i in range(3):
+            for j in range(5):
+                z = normals(philox_uniforms(key, lo + i, 2 * r, (2,), j))
+                want = (z[:r] + 1j * z[r:]) / np.linalg.norm(z)
+                assert got[i, j] == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("width", [13, 33])
@@ -156,8 +169,8 @@ def test_rows_do_not_depend_on_the_batch_split(width):
 
 def test_unit_vectors_do_not_depend_on_their_count():
     for r in (2, 3, 5):
-        many = random_unit_vectors((6, 0), 10, 9, 7, r, (1,))
-        few = random_unit_vectors((6, 0), 12, 3, 2, r, (1,))
+        many = random_unit_vectors((6, 0), 10, 9, 7, r)
+        few = random_unit_vectors((6, 0), 12, 3, 2, r)
         assert np.array_equal(many[2:5, :2], few)
         assert np.abs(np.linalg.norm(many, axis=-1) - 1.0).max() <= 1e-15
 

@@ -23,6 +23,7 @@ from ample.spheremin import (
     min_gap_over_v,
     minimize_on_sphere,
     objective_values,
+    random_unit_vectors,
 )
 
 
@@ -77,7 +78,7 @@ def test_descent_returns_unit_vectors_and_their_objective_values():
         for r in (2, 4, 6):
             uniforms = np.random.default_rng((14, r)).random((200, 4 * r * r - 3))
             M = form_matrices(build_batch(r, 0.1, uniforms)[0])
-            V0 = basis_and_random_starts(M, objective, 5, (14, r), 0)
+            V0 = basis_and_random_starts(M, objective, 5, random_unit_vectors((14, r), 0, len(M), 4, r))
             V, f, _ = minimize_on_sphere(M, V0, objective, iterations=60, tol=1e-12)
             assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() <= 1e-14
             direct = objective_values(M, V, objective)
@@ -112,7 +113,7 @@ def test_batched_descent_matches_each_instance_alone():
     for r, objective in ((2, det_objective), (3, det_objective), (3, lmin_objective)):
         pcs = [sample_curvature(r, 0.1, (4, r, i)) for i in range(24)]
         M = form_matrices(np.stack([pc.coeff for pc in pcs]))
-        V0 = basis_and_random_starts(M, objective, 4, (4, r), 0)
+        V0 = basis_and_random_starts(M, objective, 4, random_unit_vectors((4, r), 0, len(M), 3, r))
         V, f, converged = minimize_on_sphere(M, V0, objective, iterations=300, tol=1e-6)
         assert converged.mean() >= 0.75
         for i, pc in enumerate(pcs):
@@ -136,7 +137,7 @@ def test_chunked_descent_matches_other_splits_of_the_instances():
         n = chunk + 100
         uniforms = np.random.default_rng((8, r)).random((n, 4 * r * r - 3))
         M = form_matrices(build_batch(r, 0.1, uniforms)[0])
-        V0 = basis_and_random_starts(M, objective, 3, (8, r), 0)
+        V0 = basis_and_random_starts(M, objective, 3, random_unit_vectors((8, r), 0, len(M), 2, r))
         V, f, converged = minimize_on_sphere(M, V0, objective, iterations=40, tol=1e-6)
         assert 0.5 < converged.mean() < 1.0
         cut = chunk // 2 + 1
@@ -160,7 +161,7 @@ def _descent_peak_bytes(r, n, objective):
     """Peak traced bytes of one descent of n instances with 5 starts each."""
     uniforms = np.random.default_rng(r).random((n, 4 * r * r - 3))
     M = form_matrices(build_batch(r, 0.1, uniforms)[0])
-    V0 = basis_and_random_starts(M, objective, 5, (r,), 0)
+    V0 = basis_and_random_starts(M, objective, 5, random_unit_vectors((r,), 0, len(M), 4, r))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -195,7 +196,7 @@ def test_zero_iterations_return_the_normalized_starts():
     # starts are scaled off the sphere so that they differ from the result
     pcs = [sample_curvature(3, 0.1, (9, i)) for i in range(5)]
     M = form_matrices(np.stack([pc.coeff for pc in pcs]))
-    V0 = 2.5 * basis_and_random_starts(M, det_objective, 4, (9,), 0)
+    V0 = 2.5 * basis_and_random_starts(M, det_objective, 4, random_unit_vectors((9,), 0, len(M), 3, 3))
     V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=0)
     starts = V0 / np.linalg.norm(V0, axis=-1, keepdims=True)
     assert np.allclose(V, starts, rtol=0.0, atol=1e-15)
@@ -210,7 +211,7 @@ def test_projectively_flat_batch_stops_at_the_first_check():
     pf = projectively_flat(r)
     n = 6
     M = form_matrices(np.broadcast_to(pf.coeff, (n, r, r, 2, 2)))
-    V0 = 3.0 * basis_and_random_starts(M, det_objective, 3, (12,), 0)
+    V0 = 3.0 * basis_and_random_starts(M, det_objective, 3, random_unit_vectors((12,), 0, len(M), 2, r))
     V, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=50, tol=1e-6)
     assert converged.all()
     starts = V0 / np.linalg.norm(V0, axis=-1, keepdims=True)
@@ -233,7 +234,7 @@ def test_ac4_search_converges_and_reaches_the_long_run_minimum_at_rank_six():
     r, eps, n = 6, 0.1, 1000
     coeff, _ = build_batch(r, eps, np.random.default_rng(6).random((n, 4 * r * r - 3)))
     M = form_matrices(coeff)
-    V0 = basis_and_random_starts(M, det_objective, 5, (6,), 0)
+    V0 = basis_and_random_starts(M, det_objective, 5, random_unit_vectors((6,), 0, len(M), 4, r))
     _, f, converged = minimize_on_sphere(M, V0, det_objective, iterations=60, tol=1e-6)
     _, f_long, _ = minimize_on_sphere(M, V0, det_objective, iterations=1000, tol=1e-6)
     scale, offsets = gap_scale_offset(r, eps, batch_lhs_density(coeff))
@@ -314,7 +315,7 @@ def test_restart_validation():
 def test_basis_start_is_best_basis_vector():
     pc = sample_curvature(4, 0.1, 77)
     M = form_matrices(pc.coeff)[None]
-    V0 = basis_and_random_starts(M, det_objective, 3, (77,), 0)
+    V0 = basis_and_random_starts(M, det_objective, 3, random_unit_vectors((77,), 0, len(M), 2, 4))
     basis_vals = [
         np.linalg.det(normalized_q(pc, np.eye(4)[i])).real for i in range(4)
     ]

@@ -94,8 +94,8 @@ def test_pool_never_has_more_workers_than_jobs_or_cpus(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     def pool_of(workers):
         sizes.append(workers)
@@ -335,7 +335,8 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
         c = res.results[ci]
         pc = sweep_module.sample_curvature(c.rank, c.epsilon, (cfg.seed, ci, i))
         M = spheremin.form_matrices(pc.coeff[None])
-        alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (cfg.seed, ci), i)
+        random = spheremin.random_unit_vectors((cfg.seed, ci), i, 1, cfg.restarts - 1, c.rank)
+        alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, random)
         assert np.array_equal(row, alone[0]), (ci, i)
 
 
@@ -583,7 +584,8 @@ def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypa
     for row, (ci, i) in zip(V0, searched):
         c = res.results[ci]
         M = spheremin.form_matrices(flat_batch(c.rank, c.epsilon, np.zeros((1, 1)))[0])
-        alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, (cfg.seed, ci), i)
+        random = spheremin.random_unit_vectors((cfg.seed, ci), i, 1, cfg.restarts - 1, c.rank)
+        alone = spheremin.basis_and_random_starts(M, spheremin.lmin_objective, cfg.restarts, random)
         assert np.array_equal(row, alone[0]), (ci, i)
 
 
@@ -790,7 +792,8 @@ def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
             seed, config_index, i = c.worst.seed
             assert (seed, config_index) == (cfg.seed, ci)
             M = spheremin.form_matrices(replay_worst(c.worst).coeff[None])
-            alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, (seed, ci), i)
+            random = spheremin.random_unit_vectors((seed, ci), i, 1, cfg.restarts - 1, c.rank)
+            alone = spheremin.basis_and_random_starts(M, spheremin.det_objective, cfg.restarts, random)
             assert np.array_equal(polish_rows[ci], alone[0]), mode
             first = first_starts[ci * per_config + i // cfg.batch_size]
             assert np.array_equal(polish_rows[ci][:1], first[i % cfg.batch_size]), mode
