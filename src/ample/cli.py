@@ -10,16 +10,16 @@ overrides the seed of seed-consuming commands so CI can shuffle runs
 without editing configs.
 
 Every command is one entry of the COMMANDS table: its help line, the config
-keys it accepts, defaults for some of them, its flags (each names the config
-key it writes), its runner and its summary line.  The argument parser, flag
-merging, config parsing, the AMPLE_SEED override, dispatch and the summary
-are all loops over that table, so adding a command means writing its runner
-and adding one entry.  A report's inputs echo the command's config keys as
-config._KEYS says, and a sweep's per-configuration rows are its
-ConfigResults as dataclass documents.  Runners call the library by its
-module-level names here, looked up at call time, so a replacement installed
-on this module (a tracer, a test double) is the one called.  The exact
-layer's names are imported with this module.  The sweep runners' names
+keys it accepts, its flags (each names the config key it writes), its runner
+and its summary line; an absent key takes its RunConfig field's default.
+The argument parser, flag merging, config parsing, the AMPLE_SEED override,
+dispatch and the summary are all loops over that table, so adding a command
+means writing its runner and adding one entry.  A report's inputs echo the
+command's config keys as config._KEYS says, and a sweep's per-configuration
+rows are its ConfigResults as dataclass documents.  Runners call the library
+by its module-level names here, looked up at call time, so a replacement
+installed on this module (a tracer, a test double) is the one called.  The
+exact layer's names are imported with this module.  The sweep runners' names
 (run_gap_sweep, run_griffiths_sweep, run_lagrange_check, export_histograms)
 are resolved by the module's __getattr__ on first use, which imports sweep
 and numpy; exact commands therefore never load the floating-point layer.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -169,7 +169,6 @@ class Command:
     run: Callable[[RunConfig], tuple[dict, str, list[str]]]
     summary: str  # str.format template over the report's command, verdict, results
     flags: tuple[Flag, ...] = ()
-    defaults: dict = field(default_factory=dict)  # values of absent optional keys
 
 
 # every command takes --config and --out
@@ -240,7 +239,6 @@ COMMANDS = {
             Flag("--samples", "samples", dict(type=int, metavar="N", help="number of random instances")),
             Flag("--seed", "seed", dict(type=int, metavar="S", help="stream seed")),
         ),
-        defaults={"samples": 1000, "seed": 0},
     ),
     "epsilon": Command(
         "exact error-budget parameter from Chern data and the omega^2 integral",
@@ -361,17 +359,23 @@ def _merge_flags(doc: dict, args) -> dict:
 
 
 def _check_writable(cfg: RunConfig) -> None:
-    """Fail before the run when an output file cannot be opened (a missing one
-    is created) or when the report would overwrite the histograms' file."""
-    for key in ("output_path", "csv_path"):
-        path = getattr(cfg, key)
-        if path:
+    """Fail before the run when an output file cannot be opened or when the
+    report would overwrite the histograms' file.  Each file that was missing,
+    which opening it created, is removed again, through a link its target."""
+    paths = {key: getattr(cfg, key) for key in ("output_path", "csv_path") if getattr(cfg, key)}
+    missing = {os.path.realpath(path) for path in paths.values() if not os.path.exists(path)}
+    try:
+        for key, path in paths.items():
             try:
                 open(path, "a", encoding="utf-8").close()
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc.strerror}", path=key) from exc
-    if cfg.output_path and cfg.csv_path and os.path.samefile(cfg.output_path, cfg.csv_path):
-        raise ConfigError(f"{cfg.csv_path} names the same file as output_path", path="csv_path")
+        if len(paths) == 2 and os.path.samefile(*paths.values()):
+            raise ConfigError(f"{cfg.csv_path} names the same file as output_path", path="csv_path")
+    finally:
+        for path in missing:
+            if os.path.exists(path):
+                os.remove(path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -383,8 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, env_warnings = _apply_seed_env(cfg)
         _check_writable(cfg)
     except ConfigError as exc:
-        error = {"error": {"type": "ConfigError", "message": str(exc)}}
-        sys.stderr.write(json.dumps(error) + "\n")
+        sys.stderr.write(json.dumps(_error_results(exc)) + "\n")
         return EXIT_CONFIG
 
     code, report = run(cfg)

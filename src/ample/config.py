@@ -8,18 +8,18 @@ nested objects tagged by "kind".  Every key is checked: anything unknown
 for the active command is an error naming the offending JSON path, so a
 typo cannot silently fall back to a default.
 
-Which top-level keys a command accepts, and its defaults, come from its
-entry in the command table, cli.COMMANDS.  This module owns how each key is
-parsed and how a report's inputs echo it: _KEYS lists every key once, with
-its parser, whether it is required and its echo, in the order keys are
-read; _inputs_doc builds the inputs that cli.run puts in a report.  A new
-command that only reuses existing keys needs nothing here; a new key needs
-a RunConfig field and a _KEYS row.  The sweep object parses into a
-SweepConfig, defined here together with INT_MINIMUMS, the table of its
-integer bounds that the parser and SweepConfig both check, and MODES, the
-sampler modes that SweepConfig and the --mode flag accept.
-None of them needs numpy, so parsing a config never loads the floating-point
-layer (curvature, spheremin, sweep); sweep imports SweepConfig from here.
+Which top-level keys a command accepts comes from its entry in the command
+table, cli.COMMANDS.  This module owns how each key is parsed, its default
+(that of its RunConfig field) and how a report's inputs echo it: _KEYS lists
+every key once, with its parser, whether it is required and its echo, in the
+order keys are read; _inputs_doc builds the inputs that cli.run puts in a
+report.  A new command that only reuses existing keys needs nothing here; a
+new key needs a RunConfig field and a _KEYS row.  The sweep object parses
+into a SweepConfig, defined here together with INT_MINIMUMS, the table of
+its integer bounds that the parser and SweepConfig both check, and MODES,
+the sampler modes that SweepConfig and the --mode flag accept.  None of them
+needs numpy, so parsing a config never loads the floating-point layer
+(curvature, spheremin, sweep); sweep imports SweepConfig from here.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class RunConfig:
     r: int | None = None
     a: Fraction | None = None
     omega_sq: Fraction | None = None
-    samples: int | None = None
-    seed: int | None = None
+    samples: int = 1000
+    seed: int = 0
     csv_path: str | None = None
     output_path: str | None = None
 
@@ -338,7 +338,7 @@ def config_from_mapping(document: dict) -> RunConfig:
     if out_path is not None:
         _string(out_path, "output_path")
 
-    fields = {"command": command, "output_path": out_path, **spec.defaults}
+    fields = {"command": command, "output_path": out_path}
     for key, parse, required, _ in _KEYS:
         if key not in spec.keys:
             continue

@@ -565,30 +565,22 @@ def lagrange_max(r: int, mu: float, B_diag: Sequence[float]) -> float:
     return float(np.sum(x * (2.0 / r + b[1:] - x)))
 
 
-def lagrange_max_numeric(
-    r: int,
-    mu: float,
-    B_diag: Sequence[float],
-    iterations: int = 80,
-    step: float = 0.4,
-) -> float:
-    """Iterative check of lagrange_max: projected gradient ascent on the
-    constraint hyperplane from the equal-split point.
+def lagrange_max_numeric(r: int, mu: float, B_diag: Sequence[float]) -> float:
+    """Iterative check of lagrange_max: 80 steps of projected gradient ascent
+    of fixed length 0.4 on the constraint hyperplane from the equal-split point.
 
     The fixed step keeps the iteration a strict contraction (factor
-    |1 - 2*step|) instead of a one-shot Newton solve, so agreement with the
-    closed form is a genuine cross-check.
+    |1 - 2 * 0.4| = 0.2) instead of a one-shot Newton solve, so agreement
+    with the closed form is a genuine cross-check.
     """
     if r < 2:
         raise InvalidInputError(f"need r >= 2, got {r}")
-    if not 0.0 < step < 1.0:
-        raise InvalidInputError(f"step must lie in (0, 1), got {step}")
     b = np.asarray(B_diag, dtype=float)
     if b.shape != (r,):
         raise InvalidInputError(f"B_diag must have length {r}")
     x = np.full(r - 1, (1.0 - mu) / (r - 1))
-    for _ in range(iterations):
+    for _ in range(80):
         grad = 2.0 / r + b[1:] - 2.0 * x
         grad -= grad.mean()
-        x = x + step * grad
+        x = x + 0.4 * grad
     return float(np.sum(x * (2.0 / r + b[1:] - x)))

@@ -60,13 +60,9 @@ VECTOR_STREAM = (2,)
 
 
 def form_matrices(coeff: np.ndarray) -> np.ndarray:
-    """Reindex coeff[..., i, j, a, b] to M[..., a, b, i, j] for quadratic forms.
-
-    A batch of shape (n, r, r, 2, 2) comes back instance-last in memory, the
-    layout the descent runs in.
-    """
-    M = np.moveaxis(coeff, (-4, -3), (-2, -1))
-    return _instance_last(M) if M.ndim == 5 else np.ascontiguousarray(M)
+    """Reindex a batch coeff[n, i, j, a, b] to M[n, a, b, i, j], instance-last
+    in memory, the layout the descent runs in; one curvature is coeff[None]."""
+    return _instance_last(np.moveaxis(coeff, (1, 2), (3, 4)))
 
 
 def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -258,9 +258,7 @@ def _run_batches(cfg: SweepConfig, kind: str, r: int, batches) -> list:
 
     def search():
         M, V0 = (np.concatenate([batch[k] for batch in pending]) for k in (0, 1))
-        V, f, converged = V0, np.empty(V0.shape[:2]), np.empty(V0.shape[:2], dtype=bool)
-        if len(M):
-            V, f, converged = minimize_on_sphere(M, V0, _objective(kind), cfg.iterations, cfg.tol)
+        V, f, converged = minimize_on_sphere(M, V0, _objective(kind), cfg.iterations, cfg.tol)
         ends = np.cumsum([len(M) for M, _, _ in pending])[:-1]
         for (_, _, finish), *part in zip(pending, *(np.split(a, ends) for a in (V, f, converged))):
             results.append(finish(*part))
@@ -296,31 +294,21 @@ def _bound(kind: str, coeff: np.ndarray, epsilon: float):
     A value at v is scale * objective + offsets per sample (_objective);
     bound is each sample's proven lower bound on its values over all v, and
     floor is bound less the rounding a computed value may carry, the lowest
-    value _check_bound accepts.  A gap is an affine map of det (_gap_bound);
-    a smallest eigenvalue is the objective itself, with its rounding taken
-    relative to the size of its bound.
+    value _check_bound accepts.  A gap is an affine map of det, its bound is
+    det_lower_bound mapped the same way and its rounding relative to the terms
+    whose difference the gap is; a smallest eigenvalue is the objective itself
+    with rounding relative to its bound.  _polish reads its bounds here too.
     """
     if kind == "gap":
-        return _gap_bound(coeff, epsilon)
+        r = coeff.shape[1]
+        lhs = batch_lhs_density(coeff)
+        scale, offsets = gap_scale_offset(r, epsilon, lhs)
+        bound = scale * det_lower_bound(coeff) + offsets
+        floor = bound - VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
+        return scale, offsets, bound, floor
     bound = griffiths_lower_bound(coeff)
     floor = bound - VALIDATION_TOL * (1.0 + np.abs(bound))
     return 1.0, np.zeros(len(bound)), bound, floor
-
-
-def _gap_bound(coeff: np.ndarray, epsilon: float):
-    """(scale, offsets, bound, floor) of a batch of gap samples.
-
-    gap(v) = scale * det<v, Theta v>/<v, v> + offsets per sample, bound is
-    each sample's proven lower bound on its gap (det_lower_bound mapped the
-    same way), and floor is bound less the rounding a computed gap may
-    carry: VALIDATION_TOL relative to the terms whose difference the gap is.
-    """
-    r = coeff.shape[1]
-    lhs = batch_lhs_density(coeff)
-    scale, offsets = gap_scale_offset(r, epsilon, lhs)
-    bound = scale * det_lower_bound(coeff) + offsets
-    floor = bound - VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
-    return scale, offsets, bound, floor
 
 
 def _check_bound(kind: str, r: int, epsilon: float, samples, values, bound, floor) -> None:
@@ -357,7 +345,7 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
         refined = min_gap_over_v(pcs, restarts=cfg.restarts, tol=1e-8, iterations=400)
         for k, pc, found in zip(idx, pcs, refined):
             c = results[k]
-            _, _, bound, floor = _gap_bound(pc.coeff[None], c.epsilon)
+            _, _, bound, floor = _bound("gap", pc.coeff[None], c.epsilon)
             _check_bound("gap", r, c.epsilon, c.worst.seed[2:], np.array([found.gap]), bound, floor)
             if found.gap < c.worst.value:
                 worst = replace(c.worst, value=found.gap, v=found.v, source=ADVERSARIAL_SOURCE)

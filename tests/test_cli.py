@@ -299,6 +299,13 @@ def test_unwritable_csv_path_exits_2_before_the_sweep(capsys, tmp_path, monkeypa
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["message"].startswith("csv_path: cannot write ")
+    # the report's file, opened before the histograms' failed, is not left
+    out_path = tmp_path / "report.json"
+    argv = ["verify-lemma", "--config", path, "--out", str(out_path), "--csv", str(csv_path)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert json.loads(err)["error"]["message"].startswith("csv_path: cannot write ")
+    assert not out_path.exists()
     assert calls == []
 
 
@@ -319,11 +326,21 @@ def test_out_and_csv_naming_one_file_exit_2_before_the_sweep(capsys, tmp_path, m
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigError"
         assert error["message"].startswith("csv_path: ") and "same file" in error["message"]
+        # the check created x.json to open it, and removed it again; the
+        # link is the user's and stays
+        assert not (tmp_path / "x.json").exists()
+        assert (tmp_path / "link.json").is_symlink()
     doc = {"output_path": "link.json", "csv_path": str(tmp_path / "x.json"), "sweep": sweep_doc}
     code, out_text, err = invoke(capsys, ["verify-lemma", "--config", write_config(tmp_path, doc, "keys.json")])
     assert code == 2
     assert out_text == ""
     assert json.loads(err)["error"]["message"].startswith("csv_path: ")
+    assert not (tmp_path / "x.json").exists()
+    # a file that was there before the check is kept as it was
+    (tmp_path / "x.json").write_text("kept")
+    code, _, _ = invoke(capsys, ["verify-lemma", "--config", path, "--out", "x.json", "--csv", "x.json"])
+    assert code == 2
+    assert (tmp_path / "x.json").read_text() == "kept"
     assert calls == []
 
 
@@ -399,10 +416,14 @@ def test_ample_seed_environment_override(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_lagrange_defaults_and_flags(capsys):
+def test_lagrange_defaults_and_flags(capsys, tmp_path):
     code, report, _ = report_of(capsys, ["lagrange", "--samples", "50", "--seed", "2"], expect_code=0)
     assert report["inputs"] == {"samples": 50, "seed": 2}
     assert report["results"]["max_abs_diff"] <= 1e-6
+    path = write_config(tmp_path, {"command": "lagrange"})
+    code, report, _ = report_of(capsys, ["lagrange", "--config", path], expect_code=0)
+    assert report["inputs"] == {"samples": 1000, "seed": 0}
+    assert report["results"]["samples"] == 1000 and report["results"]["seed"] == 0
 
 
 def test_griffiths_projectively_flat_mode(capsys, tmp_path):
@@ -609,11 +630,14 @@ def test_exact_commands_never_load_the_float_layer(tmp_path):
 )
 def test_sweeps_with_broken_constraints_exit_3(capsys, tmp_path, command, epsilon, samples):
     doc = {"sweep": {"ranks": [2], "epsilons": [epsilon], "samples": samples}}
-    code, report, err = report_of(
-        capsys, [command, "--config", write_config(tmp_path, doc)], expect_code=3
-    )
+    # the error report is written to --out; no histograms are written
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "hist.csv"
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out_path), "--csv", str(csv_path)]
+    code, report, err = report_of(capsys, argv, expect_code=3)
     assert report["verdict"] == "error"
     error = report["results"]["error"]
     assert error["type"] == "InconsistentStateError"
     assert "curvature constraints violated" in error["message"]
     assert err.endswith(f"{command}: error (InconsistentStateError: {error['message']})\n")
+    assert json.loads(out_path.read_text()) == report
+    assert not csv_path.exists()

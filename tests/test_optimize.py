@@ -40,7 +40,7 @@ def random_units(rng, n, r):
 
 def test_det_objective_matches_form_determinant():
     pc = sample_curvature(4, 0.1, 3)
-    M = form_matrices(pc.coeff)[None]
+    M = form_matrices(pc.coeff[None])
     rng = np.random.default_rng(0)
     V = random_units(rng, 8, 4)[None]
     f = objective_values(M, V, det_objective)
@@ -51,7 +51,7 @@ def test_det_objective_matches_form_determinant():
 
 def test_lmin_objective_matches_eigvalsh():
     pc = sample_curvature(5, 0.05, 9)
-    M = form_matrices(pc.coeff)[None]
+    M = form_matrices(pc.coeff[None])
     rng = np.random.default_rng(1)
     V = random_units(rng, 8, 5)[None]
     f = objective_values(M, V, lmin_objective)
@@ -62,7 +62,7 @@ def test_lmin_objective_matches_eigvalsh():
 
 def test_minimizer_never_increases_the_objective():
     pc = sample_curvature(3, 0.1, 21)
-    M = form_matrices(pc.coeff)[None]
+    M = form_matrices(pc.coeff[None])
     rng = np.random.default_rng(2)
     V0 = random_units(rng, 16, 3)[None]
     f0 = objective_values(M, V0, det_objective)
@@ -94,7 +94,7 @@ def test_minimizer_beats_dense_grid_at_rank_two():
     V = np.stack([np.cos(tt), np.sin(tt) * np.exp(1j * pp)], axis=-1).reshape(1, -1, 2)
     for seed in range(5):
         pc = sample_curvature(2, 0.1, (6, seed))
-        M = form_matrices(pc.coeff)[None]
+        M = form_matrices(pc.coeff[None])
         dets = objective_values(M, V, det_objective)[0]
         # the grid and the search minimize the same det; the gap is an
         # increasing affine function of it, so comparing dets is enough
@@ -118,7 +118,7 @@ def test_batched_descent_matches_each_instance_alone():
         assert converged.mean() >= 0.75
         for i, pc in enumerate(pcs):
             Vi, fi, ci = minimize_on_sphere(
-                form_matrices(pc.coeff)[None], V0[i : i + 1], objective, iterations=300, tol=1e-6
+                form_matrices(pc.coeff[None]), V0[i : i + 1], objective, iterations=300, tol=1e-6
             )
             assert np.array_equal(V[i], Vi[0])
             assert np.array_equal(f[i], fi[0])
@@ -219,7 +219,7 @@ def test_projectively_flat_batch_stops_at_the_first_check():
     assert np.allclose(f, objective_values(M, starts, det_objective), rtol=1e-14, atol=0.0)
     for i in range(n):
         Vi, fi, ci = minimize_on_sphere(
-            form_matrices(pf.coeff)[None], V0[i : i + 1], det_objective, iterations=50, tol=1e-6
+            form_matrices(pf.coeff[None]), V0[i : i + 1], det_objective, iterations=50, tol=1e-6
         )
         assert np.array_equal(V[i], Vi[0])
         assert np.array_equal(f[i], fi[0])
@@ -314,7 +314,7 @@ def test_restart_validation():
 
 def test_basis_start_is_best_basis_vector():
     pc = sample_curvature(4, 0.1, 77)
-    M = form_matrices(pc.coeff)[None]
+    M = form_matrices(pc.coeff[None])
     V0 = basis_and_random_starts(M, det_objective, 3, random_unit_vectors((77,), 0, len(M), 2, 4))
     basis_vals = [
         np.linalg.det(normalized_q(pc, np.eye(4)[i])).real for i in range(4)
