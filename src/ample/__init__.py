@@ -74,7 +74,7 @@ def __getattr__(name: str):
     return value
 
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AmpleError",

@@ -50,19 +50,24 @@ eigenvector v of S_u, for u the top eigenvector of G, attains both bounds,
 which are then the minima.  At the projectively flat point every S_k is 0
 and T = (2/r) Id, so the Griffiths bound is 1/r, the minimum there.
 
-lambda_max(G) is computed in closed form (_top_eigenvalue): G is real
-symmetric 3 x 3, so with m = tr G / 3, p = |G - m I|_F / sqrt(6) and
-D = (G - m I)/p its eigenvalues are m + 2p cos(phi + 2 pi j/3) for
-phi = arccos(det(D)/2)/3, and the largest is j = 0 (G = m I when p = 0).
-Against eigvalsh it agrees to a few parts in 10^15, far inside the 1e-9
-rounding allowance of the bounds; rows whose top eigenvalue is nearly
-doubled, where arccos magnifies rounding, use eigvalsh.
+The same construction gives each sample its bound's extremal vector
+(extremal_vectors), at which sweeps screen it: u the top eigenvector of G,
+then for the gap the eigenvector of S_u whose eigenvalue is largest in
+absolute value, and for the smallest eigenvalue the bottom eigenvector of
+T/2 - S_{+-u}.  One small Hermitian eigen-kernel (_extreme_eigenpairs)
+gives lambda_min(T), lambda_max(G) with u, and those vectors, from T, S
+and G computed once per batch (_bound_terms): in closed form at r <= 3,
+the 2 x 2 formula or Smith's trigonometric eigenvalues with a null vector
+of A - lambda I, and by LAPACK from r = 4 on and on rows whose wanted
+eigenvalue is nearly doubled.  Against LAPACK the closed form agrees to
+about 10^-14 of the matrix's scale, far inside the 1e-9 rounding allowance
+of the bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -428,69 +433,195 @@ def gap_scale_offset(r: int, epsilon: float, lhs):
     return 2.0 * r * r / k, error_term_density(r, epsilon) - lhs
 
 
-def _bound_terms(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (lambda_min T, ((r-1)/r) lambda_max G) for coeff of shape
-    (n, r, r, 2, 2): t >= the first and |s|^2 <= the second at every unit v
-    (see the module docstring).
+class BoundTerms(NamedTuple):
+    """What the bounds and the extremal vectors of a batch read, computed
+    once per batch by _bound_terms: T = C00 + C11, the stack S of S_1, S_2,
+    S_3, lambda_min(T), lambda_max(G) and a unit top eigenvector u of G."""
+
+    T: np.ndarray
+    S: np.ndarray
+    t_min: np.ndarray
+    g_top: np.ndarray
+    u: np.ndarray
+
+
+def _bound_terms(coeff: np.ndarray) -> BoundTerms:
+    """The BoundTerms of coeff, shape (n, r, r, 2, 2): t >= t_min and
+    |s|^2 <= ((r-1)/r) g_top at every unit v (see the module docstring).
 
     Each sample's values are computed by the same operations whatever the
     batch, so their bits do not depend on the other samples.
     """
-    r = coeff.shape[1]
+    n, r = coeff.shape[:2]
     c00, c11, c01, c10 = (coeff[..., a, b] for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)))
     S = np.stack([0.5 * (c01 + c10), 0.5j * (c01 - c10), 0.5 * (c00 - c11)], axis=1)
-    G = np.einsum("nkij,nlij->nkl", S, np.conj(S)).real
-    t_min = np.linalg.eigvalsh(c00 + c11)[:, 0]
-    return t_min, (r - 1) / r * _top_eigenvalue(G)
+    # G_kl = Re tr(S_k S_l^*), the dot product of the real and imaginary
+    # parts of S_k and S_l, one entry of the upper triangle at a time
+    F = S.reshape(n, 3, r * r).view(np.float64)
+    G = np.empty((n, 3, 3))
+    for k, l in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        G[:, k, l] = G[:, l, k] = np.einsum("ni,ni->n", F[:, k], F[:, l])
+    T = c00 + c11
+    g_top, u = _extreme_eigenpairs(G, "top")
+    return BoundTerms(T, S, _extreme_eigenpairs(T, "bottom", vectors=False)[0], g_top, u)
 
 
-def _top_eigenvalue(G: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each real symmetric 3 x 3 matrix in G, shape
-    (n, 3, 3), in closed form (Smith, Commun. ACM 4 (1961) 168).
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
 
-    With m = tr G / 3, p = |G - m I|_F / sqrt(6) and D = (G - m I)/p, the
-    eigenvalues are m + 2p cos(phi + 2 pi j/3), j = 0, 1, 2, where
-    phi = arccos(det(D)/2)/3 lies in [0, pi/3]; j = 0 is the largest.  The
-    diagonal of G - m I is formed as (2a - b - c)/3 and so on, so that at
-    G = a I it is exactly 0, p = 0, and the result is a.  Where
-    det(D)/2 < -0.999 the top eigenvalue is nearly doubled and arccos,
-    whose slope there grows as 1/sin(3 phi), would pass on the rounding of
-    det(D)/2 magnified up to 10^8 times; those rows, fewer than 2 in 1000
-    sampled curvatures, take eigvalsh instead.  Only the upper triangle of
-    G is read, and each row's bits depend on that row alone.
+
+def _extreme_eigenpairs(A: np.ndarray, end: str, vectors: bool = True):
+    """(values, vectors) of each Hermitian r x r matrix in A, shape (n, r, r):
+    its smallest (end "bottom"), largest ("top") or largest in absolute
+    value ("outer") eigenvalue and, with vectors, a unit eigenvector for it
+    (else None).
+
+    r = 2: with m = (a + d)/2, h = (a - d)/2 and s = sqrt(h^2 + |b|^2) the
+    eigenvalues are m -+ s.  r = 3 (Smith, Commun. ACM 4 (1961) 168): with
+    m = tr A / 3, p = |A - m I|_F / sqrt(6) and D = (A - m I)/p, they are
+    m + 2p cos(phi + 2 pi j/3) for phi = arccos(det(D)/2)/3 in [0, pi/3];
+    j = 0 is the largest and j = 1 the smallest.  The diagonal of A - m I is
+    formed as (2a - b - c)/3 and so on, so that at A = a I it is exactly 0,
+    p = 0, and the eigenvalue is a.  The eigenvector is a null vector of
+    N = A - lambda I: at r = 2 the larger of (N01, -N00) and (N11, -N10),
+    at r = 3 the largest cross product of two rows of N.  N x = 0 asks
+    n . x = 0 of each row n of N under the plain, bilinear dot product, so
+    the cross products are plain ones, not conjugated; they are the rows of
+    N's cofactor matrix, which is Hermitian like N.  Where det(D)/2 < -0.999 the largest eigenvalue is
+    nearly doubled, and where it is > 0.999 the smallest: arccos, whose
+    slope there grows as 1/sin(3 phi), would pass on the rounding of
+    det(D)/2 magnified up to 10^8 times.  Those rows, rows whose null
+    vector vanishes (A = lambda I, or a doubled eigenvalue at r = 2) and
+    every row from r = 4 on take LAPACK's eigh, or eigvalsh without
+    vectors.  Only the diagonal and upper triangle of A are read in closed
+    form, and each row's bits depend on that row alone.
     """
-    a, b, c = G[:, 0, 0], G[:, 1, 1], G[:, 2, 2]
-    d, e, f = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
-    m = (a + b + c) / 3.0
-    a, b, c = (2.0 * a - b - c) / 3.0, (2.0 * b - a - c) / 3.0, (2.0 * c - a - b) / 3.0
-    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
-    inv = 1.0 / np.where(p > 0.0, p, 1.0)
-    a, b, c, d, e, f = a * inv, b * inv, c * inv, d * inv, e * inv, f * inv
-    half_det = 0.5 * (a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e))
-    top = np.where(p > 0.0, m + 2.0 * p * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0), G[:, 0, 0])
-    doubled = np.flatnonzero(half_det < -0.999)
-    if doubled.size:
-        top[doubled] = np.linalg.eigvalsh(G[doubled])[:, -1]
-    return top
+    n, r, _ = A.shape
+    rows = np.arange(n)
+    if r >= 4:
+        if not vectors:
+            w = np.linalg.eigvalsh(A)
+            return w[rows, _column(w, end)], None
+        w, X = np.linalg.eigh(A)
+        j = _column(w, end)
+        return w[rows, j], X[rows, :, j]
+    a, b = A[:, 0, 0].real, A[:, 1, 1].real
+    if r == 2:
+        d = A[:, 0, 1]
+        m, h = 0.5 * (a + b), 0.5 * (a - b)
+        s = np.sqrt(h * h + _abs2(d))
+        low, high = m - s, m + s
+        low_doubled = high_doubled = np.zeros(n, dtype=bool)
+    else:
+        c = A[:, 2, 2].real
+        d, e, f = A[:, 0, 1], A[:, 0, 2], A[:, 1, 2]
+        m = (a + b + c) / 3.0
+        da, db, dc = (2.0 * a - b - c) / 3.0, (2.0 * b - a - c) / 3.0, (2.0 * c - a - b) / 3.0
+        dd, ee, ff = _abs2(d), _abs2(e), _abs2(f)
+        p = np.sqrt((da * da + db * db + dc * dc + 2.0 * (dd + ee + ff)) / 6.0)
+        inv = 1.0 / np.where(p > 0.0, p, 1.0)
+        det = da * db * dc - da * ff - db * ee - dc * dd + 2.0 * (d * f * np.conj(e)).real
+        half_det = 0.5 * det * inv * inv * inv
+        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+        high = np.where(p > 0.0, m + 2.0 * p * np.cos(phi), a)
+        low = np.where(p > 0.0, m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), a)
+        high_doubled, low_doubled = half_det < -0.999, half_det > 0.999
+    top = np.abs(high) >= np.abs(low) if end == "outer" else np.full(n, end == "top")
+    values = np.where(top, high, low)
+    doubled = np.where(top, high_doubled, low_doubled)
+    if not vectors:
+        redo = np.flatnonzero(doubled)
+        if redo.size:
+            w = np.linalg.eigvalsh(A[redo])
+            values[redo] = np.where(top[redo], w[:, -1], w[:, 0])
+        return values, None
+    a, b = a - values, b - values
+    if r == 2:
+        X = np.stack([np.stack([d, -a], axis=1), np.stack([b, -np.conj(d)], axis=1)], axis=1)
+        norms = _abs2(X).sum(axis=2)
+    else:
+        c = c - values
+        c00, c11, c22 = b * c - ff, a * c - ee, a * b - dd
+        c01 = f * np.conj(e) - np.conj(d) * c
+        c02 = np.conj(d * f) - b * np.conj(e)
+        c12 = d * np.conj(e) - a * np.conj(f)
+        n01, n02, n12 = _abs2(c01), _abs2(c02), _abs2(c12)
+        cofactors = [c00, c01, c02, np.conj(c01), c11, c12, np.conj(c02), np.conj(c12), c22]
+        X = np.stack(cofactors, axis=1).reshape(n, 3, 3)
+        norms = np.stack([c00 * c00 + n01 + n02, n01 + c11 * c11 + n12, n02 + n12 + c22 * c22], axis=1)
+    best = np.argmax(norms, axis=1)
+    norm = norms[rows, best]
+    X = X[rows, best] / np.sqrt(np.where(norm > 0.0, norm, 1.0))[:, None]
+    redo = np.flatnonzero(doubled | ~(norm >= np.finfo(float).tiny))
+    if redo.size:
+        w, Y = np.linalg.eigh(A[redo])
+        j = np.where(top[redo], r - 1, 0)
+        values[redo], X[redo] = w[np.arange(redo.size), j], Y[np.arange(redo.size), :, j]
+    return values, X
 
 
-def det_lower_bound(coeff: np.ndarray) -> np.ndarray:
+def _column(w: np.ndarray, end: str) -> np.ndarray:
+    # the column of ascending eigenvalues w that an end of _extreme_eigenpairs takes
+    r = w.shape[1]
+    if end == "outer":
+        return np.where(np.abs(w[:, -1]) >= np.abs(w[:, 0]), r - 1, 0)
+    return np.full(len(w), r - 1 if end == "top" else 0)
+
+
+def _estimates(coeff: np.ndarray, terms: BoundTerms | None) -> tuple[np.ndarray, np.ndarray]:
+    # (lambda_min T, ((r-1)/r) lambda_max G): t >= the first and |s|^2 <= the
+    # second at every unit v
+    terms = _bound_terms(coeff) if terms is None else terms
+    r = coeff.shape[1]
+    return terms.t_min, (r - 1) / r * terms.g_top
+
+
+def det_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) -> np.ndarray:
     """Per-sample lower bound on det<v, Theta v> over unit v, for coeff of
     shape (n, r, r, 2, 2): max(0, lambda_min T)^2/4 - ((r-1)/r) lambda_max G
-    (see the module docstring); its bits do not depend on the batch.
+    (see the module docstring); its bits do not depend on the batch.  terms
+    are coeff's _bound_terms, computed here when not given.
     """
-    t_min, s_sq = _bound_terms(coeff)
+    t_min, s_sq = _estimates(coeff, terms)
     return np.maximum(t_min, 0.0) ** 2 / 4.0 - s_sq
 
 
-def griffiths_lower_bound(coeff: np.ndarray) -> np.ndarray:
+def griffiths_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) -> np.ndarray:
     """Per-sample lower bound on the smallest eigenvalue of <v, Theta v> over
     unit v, for coeff of shape (n, r, r, 2, 2):
     lambda_min(T)/2 - sqrt(((r-1)/r) lambda_max G) (see the module
-    docstring); its bits do not depend on the batch.
+    docstring); its bits do not depend on the batch.  terms are coeff's
+    _bound_terms, computed here when not given.
     """
-    t_min, s_sq = _bound_terms(coeff)
+    t_min, s_sq = _estimates(coeff, terms)
     return t_min / 2.0 - np.sqrt(s_sq)
+
+
+def extremal_vectors(coeff: np.ndarray, griffiths: bool = False, terms: BoundTerms | None = None) -> np.ndarray:
+    """Per sample, shape (n, r), the unit vector at which the estimates of
+    its gap bound (griffiths False) or its Griffiths bound hold with
+    equality wherever they can, for coeff of shape (n, r, r, 2, 2).
+
+    With u the top eigenvector of G, so that |S_u|_F^2 = lambda_max G: for
+    the gap the eigenvector of S_u whose eigenvalue is largest in absolute
+    value, that is the top eigenvector of S_u or of S_{-u}, whichever top
+    eigenvalue is larger, which |s| is at least; for the smallest
+    eigenvalue the bottom eigenvector of T/2 - S_{+-u}, whichever sign has
+    the lower bottom eigenvalue, since min over v of lambda_min q is the
+    min over unit u of lambda_min(T/2 - S_u).  At rank 2 with B = 0 both
+    are the minimizers (see the module docstring).  terms are coeff's
+    _bound_terms, computed here when not given; each row's bits depend on
+    that row alone.
+    """
+    terms = _bound_terms(coeff) if terms is None else terms
+    u, S = terms.u[:, :, None, None], terms.S
+    Su = u[:, 0] * S[:, 0] + u[:, 1] * S[:, 1] + u[:, 2] * S[:, 2]
+    if not griffiths:
+        return _extreme_eigenpairs(Su, "outer")[1]
+    half = 0.5 * terms.T
+    both = _extreme_eigenpairs(np.concatenate([half - Su, half + Su]), "bottom", vectors=False)[0]
+    flip = both[len(Su) :] < both[: len(Su)]
+    return _extreme_eigenpairs(half - np.where(flip[:, None, None], -Su, Su), "bottom")[1]
 
 
 def gap_lower_bound(coeff: np.ndarray, epsilon: float) -> np.ndarray:

@@ -311,16 +311,28 @@ def basis_and_random_starts(M: np.ndarray, objective, restarts: int, random: np.
     return V0
 
 
-def random_unit_vectors(key: tuple[int, ...], lo: int, n: int, count: int, r: int) -> np.ndarray:
-    """count unit vectors in C^r for each of rows lo..lo+n-1, shape (n, count, r).
+def random_unit_vectors(
+    key: tuple[int, ...], lo: int, n: int, count: int, r: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """count unit vectors in C^r for each of rows lo..lo+n-1, shape (n, count, r),
+    or, given rows, an ascending array of offsets below n, for rows lo + rows
+    alone, shape (len(rows), count, r).
 
     Vector j of a row is slot j of the row in stream VECTOR_STREAM of key,
     which a sweep's random test vectors and every search's random starts
     share: 2r uniforms made normals by Box-Muller on the slot's two halves,
-    real parts first, then normalized.  It depends on neither count nor n.
+    real parts first, then normalized.  It depends on neither count nor n
+    nor the other rows.  With rows, only the span from the first to the last
+    of them is drawn, and only they are made normals.
     """
+    if rows is not None:
+        if not len(rows):
+            return np.empty((0, count, r), dtype=np.complex128)
+        lo, n = lo + int(rows[0]), int(rows[-1] - rows[0]) + 1
+        rows = rows - rows[0]
     u = seeded_draws(key, lo, n, 2 * r, VECTOR_STREAM, slots=count)
-    z = _box_muller(u.reshape(n, count, 2 * r))
+    u = u if rows is None else u[rows]
+    z = _box_muller(u.reshape(len(u), count, 2 * r))
     return _normalize(z[..., :r] + 1j * z[..., r:])
 
 

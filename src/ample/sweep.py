@@ -6,23 +6,27 @@ inequality, the positivity sweep's the smallest eigenvalue of the
 normalized curvature form; a gap passes at >= -threshold, an eigenvalue
 when it is > 0 (_passes).  Every sample's value is bounded below over all
 vectors in closed form (curvature.det_lower_bound mapped to the gap,
-curvature.griffiths_lower_bound) and screened at random test vectors and at
-the best basis vector.  A sample is decided when its bound passes, and it
-is then certified, or when a screened value fails it.  The adversarial
-multi-start search runs only on the samples that are not decided and, as
-an audit of the bound, on every AUDIT_STRIDE-th sample.  A sweep passes
-when its lowest value found passes.  Every value found, the polished ones
-too, is checked against its sample's bound.
+curvature.griffiths_lower_bound) and screened at two vectors: the bound's
+extremal vector (curvature.extremal_vectors), computed from the same
+terms as the bound, and the best basis vector.  A sample is decided when
+its bound passes, and it is then certified, or when a screened value fails
+it.  The samples that are not decided and, as an audit of the bound, every
+AUDIT_STRIDE-th sample are also screened at random test vectors and
+searched by the adversarial multi-start descent.  A sample's value is the
+lowest one found for it.  A sweep passes when its lowest value found
+passes.  Every value found, the polished ones too, is checked against its
+sample's bound.
 
 Determinism contract: configuration config_index of a sweep with base
 seed s owns Philox streams keyed by SeedSequence((s, config_index),
 spawn_key=(k,)): stream 0 samples the curvatures and stream 2 gives the
-random test vectors, whose first restarts - 1 slots are also the random
-starts of the adversarial search.  Sample i reads row i of each stream, a
-fixed-stride window that no other sample touches (see
-curvature.seeded_draws), so a batch draws all its samples with one
-generator per stream and vector slot, and a sample never depends on the
-batch it falls in.  Configurations are enumerated rank-major over (ranks x
+random test vectors of the searched samples, whose first restarts - 1
+slots are also the random starts of their search.  Sample i reads row i of
+each stream, a fixed-stride window that no other sample touches (see
+curvature.seeded_draws), so a batch draws its samples with one generator
+per stream and vector slot, the random vectors only for the span of its
+searched samples and makes normals of theirs alone, and a sample never
+depends on the batch it falls in.  Configurations are enumerated rank-major over (ranks x
 epsilons).  Work is split into fixed-size batches by sample index, and
 each rank's batches into min(workers, their count) contiguous runs; the
 runs of all configurations are one job list on workers = min(threads,
@@ -65,12 +69,14 @@ from .curvature import (
     VALIDATION_TOL,
     PointCurvature,
     _batch_residuals,
+    _bound_terms,
     _coefficient_count,
     batch_lhs_density,
     build_batch,
     check_residuals,
     det_lower_bound,
     error_term_density,
+    extremal_vectors,
     gap_scale_offset,
     gating_residuals,
     griffiths_lower_bound,
@@ -93,9 +99,12 @@ from .spheremin import (
     random_unit_vectors,
 )
 
-RANDOM_SOURCE = "random-vector"
+EXTREMAL_SOURCE = "extremal-vector"
 BASIS_SOURCE = "basis-vector"
+RANDOM_SOURCE = "random-vector"
 ADVERSARIAL_SOURCE = "adversarial"
+# the source of a screened value by the index of its vector, in screening order
+SCREEN_SOURCES = (EXTREMAL_SOURCE, BASIS_SOURCE, RANDOM_SOURCE)
 
 # a sweep searches every sample whose index is a multiple of this, decided
 # or not, so that every sweep tests the bound against a search
@@ -108,9 +117,10 @@ class WorstRecord:
     seed is (base seed, config index, sample index), which sample_curvature
     reads as that sample's row of key (base seed, config index), so replaying
     it rebuilds the sample and the starts of its search; v is the offending
-    vector; source tells whether a random test vector, the best basis vector
-    or the adversarial search found it; mode is the sampler mode, which
-    replay_worst needs and reports leave out.
+    vector; source tells whether the bound's extremal vector, the best basis
+    vector, a random test vector or the adversarial search found it
+    (EXTREMAL_SOURCE, BASIS_SOURCE, RANDOM_SOURCE, ADVERSARIAL_SOURCE); mode
+    is the sampler mode, which replay_worst needs and reports leave out.
     """
 
     rank: int
@@ -168,19 +178,24 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     bound).  finish holds only per-sample values and a few arrays of the
     searched rows, so that a run of batches can wait for one search.
     Every sample's value is bounded below in closed form (_bound) and
-    screened at the random test vectors and the best basis vector, the
-    first start of a search.  A sample is decided when its bound passes
-    (_passes) or a screened value fails; the search runs on the samples
-    that are not decided and, as an audit of the bound, on those whose
-    index is a multiple of AUDIT_STRIDE, and a searched value counts where
-    it is lower.  A certified sample is one whose bound passes.  A decided
-    sample counts as converged, a searched one that is not decided when it
-    converged in every start.  A value below its sample's bound by more
-    than rounding is InconsistentStateError, since the bound is a theorem.
-    A batch whose constraint residuals fail check_residuals' rule stops
-    right after them, with nothing to search, and finishes with NaN values
-    and no minimum: the search would only run on numbers that break the
-    constraints.
+    screened at two vectors: its bound's extremal vector
+    (curvature.extremal_vectors, from the bound's own terms) and its best
+    basis vector, the first start of a search.  A sample is decided when
+    its bound passes (_passes) or a screened value fails; the search runs
+    on the samples that are not decided and, as an audit of the bound, on
+    those whose index is a multiple of AUDIT_STRIDE.  Only the searched
+    samples draw random vectors: the first random_vectors are test vectors,
+    screened before the search, and the first restarts - 1 the random
+    starts of their search.  A random test vector counts where it is lower
+    than both screened vectors, a searched value where it is lower than
+    every vector screened.  A certified sample is one whose bound passes.
+    A decided sample counts as converged, a searched one that is not
+    decided when it converged in every start.  A value below its sample's
+    bound by more than rounding is InconsistentStateError, since the bound
+    is a theorem.  A batch whose constraint residuals fail
+    check_residuals' rule stops right after them, with nothing to search,
+    and finishes with NaN values and no minimum: the search would only run
+    on numbers that break the constraints.
     """
     n = hi - lo
     key = (cfg.seed, ci)
@@ -198,14 +213,12 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
 
     R = cfg.random_vectors
     objective = _objective(kind)
-    scale, offsets, bound, floor = _bound(kind, coeff, epsilon)
-    # the random test vectors are the first slots of their stream and the
-    # random starts of a search its first restarts - 1
-    random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r)
-    V0 = basis_and_random_starts(M, objective, cfg.restarts, random)
-    # the random test vectors go first, so that the best basis vector counts
+    terms = _bound_terms(coeff)
+    scale, offsets, bound, floor = _bound(kind, coeff, epsilon, terms)
+    # the extremal vector goes first, so that the best basis vector counts
     # only where it is lower
-    V = np.concatenate([random[:, :R], V0[:, :1]], axis=1)
+    extremal = extremal_vectors(coeff, kind == "griffiths", terms)[:, None]
+    V = np.concatenate([extremal, basis_and_random_starts(M, objective, 1, np.empty((n, 0, r)))], axis=1)
     screen = scale * objective_values(M, V, objective) + offsets[:, None]
     idx = np.argmin(screen, axis=1)
     values = screen[np.arange(n), idx]
@@ -213,10 +226,25 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     decided = certified | ~_passes(cfg, kind, values)
     search = ~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0)
     searched, free = np.flatnonzero(search), np.flatnonzero(~search)
+    # only the searched samples draw random vectors: the random test vectors
+    # are the first slots of their stream and the random starts of a search
+    # its first restarts - 1
+    random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r, searched)
+    Ms = form_matrices(coeff[searched])
+    V0 = basis_and_random_starts(Ms, objective, cfg.restarts, random)
+    # a searched sample's screen goes on at its random test vectors, which
+    # count only where they are lower
+    Vs = np.concatenate([V[searched], random[:, :R]], axis=1)
+    at_random = scale * objective_values(Ms, random[:, :R], objective) + offsets[searched, None]
+    tested = np.concatenate([screen[searched], at_random], axis=1)
+    idx_s = np.argmin(tested, axis=1)
+    values[searched] = tested[np.arange(len(searched)), idx_s]
     # the best screened vector of each searched sample and of the first
     # lowest other one, the only other sample that can hold the minimum
-    rows = np.append(searched, free[np.argmin(values[free])]) if free.size else searched
-    best = {int(i): (tuple(V[i, idx[i]]), RANDOM_SOURCE if idx[i] < R else BASIS_SOURCE) for i in rows}
+    best = {int(i): (tuple(Vs[k, j]), SCREEN_SOURCES[min(j, 2)]) for k, (i, j) in enumerate(zip(searched, idx_s))}
+    if free.size:
+        i = int(free[np.argmin(values[free])])
+        best[i] = (tuple(V[i, idx[i]]), SCREEN_SOURCES[idx[i]])
     # the rows checked against their bound: the searched ones and the
     # first other one that lies below it already
     watch = np.sort(np.concatenate([searched, free[values[free] < floor[free]][:1]]))
@@ -239,7 +267,7 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
         converged = decided + int(converged.all(axis=1)[undecided].sum())
         return values, (lo + i, v, source), residual_max, converged, (certified, bound_min)
 
-    return M[searched], V0[searched], finish
+    return Ms, V0, finish
 
 
 def _run_batches(cfg: SweepConfig, kind: str, r: int, batches) -> list:
@@ -288,8 +316,9 @@ def _objective(kind: str):
     return det_objective if kind == "gap" else lmin_objective
 
 
-def _bound(kind: str, coeff: np.ndarray, epsilon: float):
-    """(scale, offsets, bound, floor) of a batch of one sweep kind.
+def _bound(kind: str, coeff: np.ndarray, epsilon: float, terms=None):
+    """(scale, offsets, bound, floor) of a batch of one sweep kind; terms
+    are coeff's _bound_terms, or None for the bound to compute them.
 
     A value at v is scale * objective + offsets per sample (_objective);
     bound is each sample's proven lower bound on its values over all v, and
@@ -303,10 +332,10 @@ def _bound(kind: str, coeff: np.ndarray, epsilon: float):
         r = coeff.shape[1]
         lhs = batch_lhs_density(coeff)
         scale, offsets = gap_scale_offset(r, epsilon, lhs)
-        bound = scale * det_lower_bound(coeff) + offsets
+        bound = scale * det_lower_bound(coeff, terms) + offsets
         floor = bound - VALIDATION_TOL * (1.0 + np.abs(lhs) + error_term_density(r, epsilon))
         return scale, offsets, bound, floor
-    bound = griffiths_lower_bound(coeff)
+    bound = griffiths_lower_bound(coeff, terms)
     floor = bound - VALIDATION_TOL * (1.0 + np.abs(bound))
     return 1.0, np.zeros(len(bound)), bound, floor
 
@@ -512,8 +541,9 @@ def _check_array_sizes(cfg: SweepConfig, n: int) -> None:
     numpy refuses an array of more than sys.maxsize bytes with ValueError,
     not MemoryError.  No array of a batch holds more than
     n (restarts + random_vectors) 4r^2 complex numbers, the descent's copies
-    of the form matrices for every vector; a run's descent takes at most n
-    rows of its batches at once (_run_batches).  The histogram holds
+    of the form matrices for every vector, since at most n samples draw
+    random vectors and are searched; a run's descent takes at most n rows
+    of its batches at once (_run_batches).  The histogram holds
     histogram_bins + 1 edges.
     """
     vectors = n * (cfg.restarts + cfg.random_vectors) * 4 * max(cfg.ranks) ** 2
@@ -564,12 +594,13 @@ def run_gap_sweep(cfg: SweepConfig) -> SweepResult:
     """Monte Carlo verification of the pointwise inequality.
 
     Per sample, the gap is bounded below in closed form and evaluated at
-    `random_vectors` random unit vectors and the best basis vector; a sample
-    whose bound is below -threshold and whose values found are not, and
-    every AUDIT_STRIDE-th sample, is also minimized adversarially from
-    `restarts` starts.  Passing means the minimum over everything found is
-    at least -threshold.  Each configuration reports how many samples the
-    bound certified and the lowest bound.
+    the bound's extremal vector and the best basis vector; a sample whose
+    bound is below -threshold and whose values found are not, and every
+    AUDIT_STRIDE-th sample, is also evaluated at `random_vectors` random
+    unit vectors and minimized adversarially from `restarts` starts.
+    Passing means the minimum over everything found is at least
+    -threshold.  Each configuration reports how many samples the bound
+    certified and the lowest bound.
     """
     return _run_sweep(cfg, "gap")
 
@@ -578,11 +609,12 @@ def run_griffiths_sweep(cfg: SweepConfig) -> SweepResult:
     """Minimum eigenvalue sweep of the normalized form <v, Theta v>.
 
     Per sample, the smallest eigenvalue over unit v is bounded below in
-    closed form and evaluated at `random_vectors` random unit vectors and
-    the best basis vector.  A sample whose bound is > 0 is certified
-    Griffiths positive, and one with a value <= 0 found is refuted; only the
-    others, and every AUDIT_STRIDE-th sample, are also minimized
-    adversarially from `restarts` starts.  Passing means every value found
+    closed form and evaluated at the bound's extremal vector and the best
+    basis vector.  A sample whose bound is > 0 is certified Griffiths
+    positive, and one with a value <= 0 found is refuted; only the others,
+    and every AUDIT_STRIDE-th sample, are also evaluated at
+    `random_vectors` random unit vectors and minimized adversarially from
+    `restarts` starts.  Passing means every value found
     stayed strictly positive, i.e. Griffiths positivity held at each
     sampled point as far as the bound and the search can tell.  Each
     configuration reports how many samples the bound certified and the

@@ -115,7 +115,8 @@ def test_ac4_pointwise_inequality_monte_carlo():
     report_line(
         "AC-4", ok,
         f"min gap {res.min_value:.6g} >= -1e-9 over 15 configs x 100000 samples, "
-        f"10 random vectors + 5-restart search each, {dt:.0f}s",
+        f"each bounded and screened at its extremal and best basis vector, "
+        f"the searched ones also at 10 random vectors + 5 restarts, {dt:.0f}s",
     )
 
 

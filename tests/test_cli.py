@@ -369,8 +369,12 @@ def test_verify_lemma_small_sweep(capsys, tmp_path):
     assert report["verdict"] == "pass"
     assert report["results"]["min_gap"] >= -1e-9
     assert len(report["results"]["configs"]) == 4
+    # a gap sweep's worst value is the polish's, or the screened value of
+    # its worst sample where the polish finds nothing lower; the screen
+    # then names the bound's extremal vector, the lowest of the three here
     for c in report["results"]["configs"]:
-        assert c["worst"]["source"] in ("random-vector", "adversarial")
+        assert c["worst"]["source"] in ("extremal-vector", "adversarial")
+        assert c["min"] >= c["min_bound"] - 1e-9
 
 
 def test_sweep_reports_are_byte_identical_across_runs_and_threads(capsys, tmp_path):
@@ -502,7 +506,7 @@ GOLDEN = {
         '"results":{"assertions":{"ample_on_curves":"asserted","c1_positive":"asserted",'
         '"semistable":"asserted"},"c1":{"h":"4"},"c1_sq":"16","c1sq_minus_c2":"11",'
         '"c2":"5","lubke_coefficient":"12/5","lubke_gap":"4","rank":3,"st_gap":null},'
-        '"verdict":"hypotheses-satisfied","version":"0.7.0","warnings":[]}\n',
+        '"verdict":"hypotheses-satisfied","version":"0.8.0","warnings":[]}\n',
         "check: hypotheses-satisfied (lubke_gap = 4)\n",
     ),
     "st-check": (
@@ -519,7 +523,7 @@ GOLDEN = {
         '{"ample_on_curves":"unknown","c1_positive":"unknown","semistable":"asserted"},'
         '"c1":{"h":"3"},"c1_sq":"9","c1sq_minus_c2":"7","c2":"2","lubke_coefficient":"2",'
         '"lubke_gap":"5","rank":2,"st_gap":"5"},"verdict":"assertions-missing",'
-        '"version":"0.7.0","warnings":["unverified hypotheses: c1_positive, ample_on_curves"]}\n',
+        '"version":"0.8.0","warnings":["unverified hypotheses: c1_positive, ample_on_curves"]}\n',
         "st-check: assertions-missing (lubke_gap = 5)\n",
     ),
     "nakai": (
@@ -533,7 +537,7 @@ GOLDEN = {
         '"divisor":{"H":"1","L":"1"},"ring":{"basis":["L","H"],"pairing":[["0","1"],'
         '["1","0"]]}},"results":{"curve_degrees":["1","0"],"note":"necessary conditions '
         'over the supplied curve list; not a full ampleness decision","self_intersection":"2"},'
-        '"verdict":"fail","version":"0.7.0","warnings":[]}\n',
+        '"verdict":"fail","version":"0.8.0","warnings":[]}\n',
         "nakai: fail (self-intersection = 2)\n",
     ),
     "counterexample": (
@@ -545,7 +549,7 @@ GOLDEN = {
         '"expected":"0","holds":true,"name":"lubke_gap"},{"actual":"0","expected":"0",'
         '"holds":true,"name":"slope_spread"}],"rank":4,"ring":{"basis":["L","H"],'
         '"pairing":[["0","1/2"],["1/2","1/3"]]},"slopes":["3/2","3/2","3/2","3/2"]},'
-        '"verdict":"pass","version":"0.7.0","warnings":[]}\n',
+        '"verdict":"pass","version":"0.8.0","warnings":[]}\n',
         "counterexample: pass (c1_sq = 6, c2 = 5/2)\n",
     ),
     "epsilon": (
@@ -554,7 +558,7 @@ GOLDEN = {
         '{"command":"epsilon","inputs":{"bundle":{"kind":"sum","summands":[{"divisor":'
         '{"h":"3"},"kind":"line"},{"divisor":{"h":"2"},"kind":"line"}]},"omega_sq":"25",'
         '"ring":{"basis":["h"],"pairing":[["1"]]}},"results":{"c1_sq":"25","c2":"6",'
-        '"epsilon":"26/125","rank":2},"verdict":"pass","version":"0.7.0","warnings":[]}\n',
+        '"epsilon":"26/125","rank":2},"verdict":"pass","version":"0.8.0","warnings":[]}\n',
         "epsilon: 26/125\n",
     ),
 }

@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from ample.curvature import (
+    VALIDATION_TOL,
     PointCurvature,
+    _bound_terms,
     _box_muller,
     _coefficient_count,
-    _top_eigenvalue,
+    _extreme_eigenpairs,
     batch_lhs_density,
     build_batch,
     c2_density_pairwise,
     chern_densities,
     error_term_density,
+    extremal_vectors,
     gap_lower_bound,
     griffiths_lower_bound,
     lagrange_max,
     lagrange_max_numeric,
     lhs_density,
     lubke_constant,
+    normalized_form,
     pointwise_gap,
     projectively_flat,
     residuals,
@@ -484,6 +488,11 @@ def gram(coeff):
     return np.einsum("nkij,nlji->nkl", S, S).real
 
 
+def _top_eigenvalue(G):
+    # lambda_max G as the bounds take it
+    return _extreme_eigenpairs(G, "top", vectors=False)[0]
+
+
 def assert_top_eigenvalue(G, rel=1e-13):
     expected = np.linalg.eigvalsh(G)[:, -1]
     assert np.all(np.abs(_top_eigenvalue(G) - expected) <= rel * np.abs(expected))
@@ -538,3 +547,136 @@ def test_the_closed_form_top_eigenvalue_when_it_is_doubled_or_nearly_so():
     G = np.einsum("nij,nj,nkj->nik", Q, eigenvalues, Q)
     assert_top_eigenvalue(G)
     assert _top_eigenvalue(G) == pytest.approx(scale, rel=1e-13)
+
+
+def hermitian(rng, n, r, dtype=complex):
+    z = rng.standard_normal((n, r, r))
+    if dtype is complex:
+        z = z + 1j * rng.standard_normal((n, r, r))
+    return (z + np.conj(np.swapaxes(z, 1, 2))) / 2
+
+
+def wanted(w, end):
+    """The eigenvalue of each row of ascending eigenvalues w that end names."""
+    outer = np.where(np.abs(w[:, -1]) >= np.abs(w[:, 0]), w[:, -1], w[:, 0])
+    return {"bottom": w[:, 0], "top": w[:, -1], "outer": outer}[end]
+
+
+def assert_eigenpairs(A, end, rel=1e-13):
+    # the values are LAPACK's to rel times the matrix's scale; the vectors
+    # are unit vectors whose Rayleigh quotient is the wanted eigenvalue
+    want = wanted(np.linalg.eigvalsh(A), end)
+    scale = 1.0 + np.abs(A).max(axis=(1, 2))
+    values, X = _extreme_eigenpairs(A, end)
+    only, none = _extreme_eigenpairs(A, end, vectors=False)
+    assert none is None
+    for got in (values, only):
+        assert np.all(np.abs(got - want) <= rel * scale)
+    assert np.all(np.abs(np.linalg.norm(X, axis=1) - 1.0) <= 1e-14)
+    rayleigh = np.einsum("ni,nij,nj->n", np.conj(X), A, X).real
+    assert np.all(np.abs(rayleigh - want) <= rel * scale)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("end", ["bottom", "top", "outer"])
+def test_the_eigen_kernel_matches_lapack_on_random_hermitian_matrices(r, end):
+    rng = np.random.default_rng(31 + r)
+    n = 10000 if r <= 3 else 500
+    assert_eigenpairs(hermitian(rng, n, r), end)
+    assert_eigenpairs(hermitian(rng, n, r, dtype=float), end)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("end", ["bottom", "top"])
+def test_the_eigen_kernel_when_the_wanted_eigenvalue_is_doubled_or_nearly_so(r, end):
+    # A = Q diag(l, l (1 - g), rest) Q* with the pair at the wanted end, for
+    # g from 0 to 1e-1, and multiples of the identity
+    rng = np.random.default_rng(32 + r)
+    n = 4000
+    Q, _ = np.linalg.qr(rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r)))
+    scale = 10.0 ** rng.uniform(-3, 3, n)
+    g = np.where(np.arange(n) % 4 == 0, 0.0, 10.0 ** rng.uniform(-16, -1, n))
+    pair = np.stack([np.ones(n), 1 - g], axis=1)
+    rest = rng.uniform(-0.9, 0.9, (n, r - 2))
+    eigenvalues = np.concatenate([pair, rest] if end == "top" else [-pair, rest], axis=1) * scale[:, None]
+    A = np.einsum("nij,nj,nkj->nik", Q, eigenvalues, np.conj(Q))
+    assert_eigenpairs(A, end)
+    c = np.array([0.1, 1 / 3, -7.25, 0.0, 1e-200])
+    values, X = _extreme_eigenpairs(c[:, None, None] * np.eye(r), end)
+    assert values.tolist() == c.tolist()
+    assert np.abs(np.linalg.norm(X, axis=1) - 1.0).max() <= 1e-15
+
+
+def test_the_smallest_eigenvalue_of_t_never_lies_above_lapacks():
+    # in the bound, above by more than the rounding allowance would be a
+    # bound that is not proven; at eps = 0, T is (2/r) I up to rounding
+    for r in range(2, 8):
+        for eps in (0.0, 0.01, 0.1, 0.5, 1.0):
+            coeff, _ = build_batch(r, eps, seeded_draws((33, r), 0, 2000, _coefficient_count(r)))
+            T = coeff[..., 0, 0] + coeff[..., 1, 1]
+            lapack = np.linalg.eigvalsh(T)[:, 0]
+            t_min = _bound_terms(coeff).t_min
+            assert np.all(t_min - lapack <= VALIDATION_TOL * (1.0 + np.abs(lapack)))
+            assert np.abs(t_min - lapack).max() <= 1e-14
+
+
+def test_the_terms_at_the_flat_point_and_at_a_multiple_of_the_identity():
+    # at the projectively flat point S = 0, so G = 0, and T = (2/r) I
+    for r in (2, 3, 4):
+        coeff = projectively_flat(r).coeff[None]
+        terms = _bound_terms(coeff)
+        assert terms.g_top.tolist() == [0.0]
+        assert terms.t_min[0] == pytest.approx(2.0 / r, abs=1e-15)
+        assert np.linalg.norm(terms.u[0]) == pytest.approx(1.0, abs=1e-15)
+        for griffiths in (False, True):
+            v = extremal_vectors(coeff, griffiths)[0]
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.eigvalsh(normalized_form(projectively_flat(r), v))[0] == pytest.approx(1.0 / r, abs=1e-15)
+    G = np.array([0.25, 4.0])[:, None, None] * np.eye(3)
+    values, u = _extreme_eigenpairs(G, "top")
+    assert values.tolist() == [0.25, 4.0]
+    assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_the_kernel_and_extremal_vectors_of_a_sample_do_not_depend_on_its_batch(r):
+    coeff, _ = build_batch(r, 0.1, seeded_draws((34, r), 0, 777, _coefficient_count(r)))
+
+    def outputs(part):
+        terms = _bound_terms(part)
+        vectors = [extremal_vectors(part, griffiths, terms) for griffiths in (False, True)]
+        return [terms.t_min, terms.g_top, terms.u, *vectors]
+
+    whole = outputs(coeff)
+    for size in (1, 7, 64):
+        parts = [outputs(coeff[lo : lo + size]) for lo in range(0, 777, size)]
+        for k, array in enumerate(whole):
+            assert np.concatenate([p[k] for p in parts]).tobytes() == array.tobytes(), (size, k)
+
+
+def gap_at(pc, v):
+    return pointwise_gap(pc, v).gap
+
+
+def smallest_eigenvalue_at(pc, v):
+    return np.linalg.eigvalsh(normalized_form(pc, v))[0]
+
+
+def test_the_extremal_vectors_attain_both_bounds_at_rank_two_without_error():
+    pcs = [sample_curvature(2, 0.0, (35, i)) for i in range(200)]
+    coeff = np.stack([pc.coeff for pc in pcs])
+    gap_bound, griffiths_bound = gap_lower_bound(coeff, 0.0), griffiths_lower_bound(coeff)
+    gap_v, griffiths_v = extremal_vectors(coeff), extremal_vectors(coeff, griffiths=True)
+    for pc, v, bound in zip(pcs, gap_v, gap_bound):
+        assert gap_at(pc, v) == pytest.approx(bound, abs=1e-9)
+    for pc, v, bound in zip(pcs, griffiths_v, griffiths_bound):
+        assert smallest_eigenvalue_at(pc, v) == pytest.approx(bound, abs=1e-9)
+
+
+def test_the_extremal_vector_reaches_the_minimum_of_the_entrywise_family():
+    # the bound -0.096 is the minimum gap at r = 3, eps = 0.1, in any frame
+    rng = np.random.default_rng(36)
+    for pc in (entrywise_family(3, 0.1), unitary_conjugate(entrywise_family(3, 0.1), random_unitary(rng, 3))):
+        v = extremal_vectors(pc.coeff[None])[0]
+        assert gap_lower_bound(pc.coeff[None], 0.1)[0] == pytest.approx(-0.096, abs=1e-13)
+        assert gap_at(pc, v) == pytest.approx(-0.096, abs=1e-9)

@@ -27,7 +27,9 @@ from ample.sweep import (
     ADVERSARIAL_SOURCE,
     AUDIT_STRIDE,
     BASIS_SOURCE,
+    EXTREMAL_SOURCE,
     RANDOM_SOURCE,
+    SCREEN_SOURCES,
     SweepConfig,
     export_histograms,
     replay_worst,
@@ -290,16 +292,54 @@ def family_batch(r, epsilon, uniforms):
     return np.repeat(coeff[None], n, axis=0), np.repeat(B[None].astype(np.complex128), n, axis=0)
 
 
+def first_basis_vectors(coeff, griffiths, terms):
+    """extremal_vectors' stand-in: e_1 for every sample."""
+    return np.eye(coeff.shape[1], dtype=np.complex128)[np.zeros(len(coeff), dtype=int)]
+
+
 def test_the_search_runs_where_the_bound_cannot_decide(monkeypatch):
+    # the family's bound, -0.096, cannot certify it; the extremal vector
+    # would refute it at -0.096 by itself, so it is replaced by e_1, where
+    # every sample's screened gap passes, and every sample is searched
     monkeypatch.setattr(sweep_module, "build_batch", family_batch)
+    monkeypatch.setattr(sweep_module, "extremal_vectors", first_basis_vectors)
+    descend, rows = sweep_module.minimize_on_sphere, []
+
+    def recording(M, *args):
+        rows.append(len(M))
+        return descend(M, *args)
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording)
     sweep_keys = {"ranks": [3], "epsilons": [0.1], "samples": 20, "batch_size": 8}
     code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
     (c,) = report["results"]["configs"]
     assert (code, report["verdict"]) == (1, "fail")
+    assert sum(rows) == 20
     assert c["certified"] == 0
     assert c["min_bound"] == pytest.approx(-0.096, abs=1e-12)
     assert c["min"] == c["worst"]["value"] == pytest.approx(-0.096, abs=1e-9)
     assert c["worst"]["source"] == ADVERSARIAL_SOURCE
+
+
+def test_the_extremal_vector_alone_refutes_the_entrywise_family(monkeypatch):
+    # unchanged, the screen reaches the family's minimum -0.096 at every
+    # sample's extremal vector, so only the audited sample 0 is searched
+    monkeypatch.setattr(sweep_module, "build_batch", family_batch)
+    descend, rows = sweep_module.minimize_on_sphere, []
+
+    def recording(M, *args):
+        rows.append(len(M))
+        return descend(M, *args)
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", recording)
+    sweep_keys = {"ranks": [3], "epsilons": [0.1], "samples": 20, "batch_size": 8}
+    code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
+    (c,) = report["results"]["configs"]
+    assert (code, report["verdict"]) == (1, "fail")
+    assert sum(rows) == 1
+    assert c["certified"] == 0 and c["converged_fraction"] == 1.0
+    assert c["mean"] == pytest.approx(-0.096, abs=1e-9)
+    assert c["min"] == c["worst"]["value"] == pytest.approx(-0.096, abs=1e-9)
 
 
 def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
@@ -311,8 +351,8 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
     det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
     starts = []
 
-    def lowered(coeff):
-        bound = det_lower_bound(coeff)
+    def lowered(coeff, terms):
+        bound = det_lower_bound(coeff, terms)
         bound[rows[rows < len(bound)]] = -1e6
         return bound
 
@@ -340,6 +380,58 @@ def test_a_searched_sample_starts_where_a_search_of_its_own_would(monkeypatch):
         assert np.array_equal(row, alone[0]), (ci, i)
 
 
+def test_searched_rows_leave_reports_independent_of_batches_and_workers(monkeypatch):
+    # a bound pushed down wherever coeff[0, 0, 0, 0] > 0.8, a property of
+    # the sample and not of its batch, leaves about one sample in ten
+    # undecided.  Only the searched samples draw random vectors, each
+    # sample's own, so the reports stay byte for byte the same over batch
+    # sizes and worker counts.  The pool is forked afresh, so that its
+    # workers run the lowered bounds too, and shut down after
+    det_lower_bound, griffiths_lower_bound = sweep_module.det_lower_bound, sweep_module.griffiths_lower_bound
+    draw, draws = sweep_module.random_unit_vectors, []
+
+    def lowering(bound_of):
+        def lowered(coeff, terms):
+            bound = bound_of(coeff, terms)
+            bound[coeff[:, 0, 0, 0, 0].real > 0.8] = -1e6
+            return bound
+        return lowered
+
+    def recording(key, lo, n, count, r, rows):
+        vectors = draw(key, lo, n, count, r, rows)
+        draws.append((key, lo, count, r, rows, vectors))
+        return vectors
+
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lowering(det_lower_bound))
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lowering(griffiths_lower_bound))
+    monkeypatch.setattr(sweep_module, "random_unit_vectors", recording)
+    sweep_keys = {
+        "ranks": [2, 3], "epsilons": [0.1], "samples": 800, "seed": 9, "restarts": 3,
+        "random_vectors": 4, "iterations": 30, "batch_size": 4096, "threads": 1,
+    }
+
+    def text(command, **changes):
+        doc = {"command": command, "sweep": dict(sweep_keys, **changes)}
+        return render(cli.run(config_from_mapping(doc))[1])
+
+    sweep_module._close_pool()
+    try:
+        for command in ("verify-lemma", "griffiths"):
+            draws.clear()
+            first = text(command)
+            assert text(command, batch_size=7) == first
+            searched = sum(len(rows) for *_, rows, _ in draws)
+            assert searched > 2 * (800 // AUDIT_STRIDE + 1) * 2
+            for key, lo, count, r, rows, vectors in draws:
+                assert count == 4
+                for k, i in enumerate(rows):
+                    assert np.array_equal(vectors[k], draw(key, lo + i, 1, count, r)[0]), (key, lo, i)
+            for changes in ({"batch_size": 1}, {"batch_size": 777}, {"threads": 2}, {"batch_size": 7, "threads": 2}):
+                assert text(command, **changes) == first, changes
+    finally:
+        sweep_module._close_pool()
+
+
 def test_a_run_of_batches_is_searched_in_one_descent_per_rank(monkeypatch):
     # one worker runs each rank's 3 epsilons x 3 batches as one run, and
     # descends its undecided and audited samples in one call, each sample
@@ -350,8 +442,8 @@ def test_a_run_of_batches_is_searched_in_one_descent_per_rank(monkeypatch):
     det_lower_bound, descend = sweep_module.det_lower_bound, sweep_module.minimize_on_sphere
     calls = []
 
-    def lowered(coeff):
-        bound = det_lower_bound(coeff)
+    def lowered(coeff, terms):
+        bound = det_lower_bound(coeff, terms)
         bound[coeff[:, 0, 0, 0, 0].real > 0.9] = -1e6
         return bound
 
@@ -418,14 +510,14 @@ def test_the_first_sample_below_its_bound_is_named_though_a_later_screen_fails_f
     }
     det_lower_bound = sweep_module.det_lower_bound
 
-    def raised(coeff, lifts):
-        bound = det_lower_bound(coeff)
+    def raised(coeff, terms, lifts):
+        bound = det_lower_bound(coeff, terms)
         for n, x in enumerate(coeff[:, 0, 0, 0, 0]):
             bound[n] += lifts.get(x, 0.0)
         return bound
 
     def error(lifts):
-        monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: raised(coeff, lifts))
+        monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff, terms: raised(coeff, terms, lifts))
         sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 80, "seed": 7, "batch_size": batch_size}
         code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
         assert (code, report["verdict"]) == (3, "error")
@@ -442,7 +534,7 @@ def test_a_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
     # a bound raised by 1 in det, so 2r^2/k >= 2 in the gap: the rank-2
     # bound is the minimum gap, so every rank-2 value lies below it
     det_lower_bound = sweep_module.det_lower_bound
-    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: det_lower_bound(coeff) + 1.0)
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff, terms: det_lower_bound(coeff, terms) + 1.0)
     sweep_keys = {"ranks": [2], "samples": 8}
     code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
     assert (code, report["verdict"]) == (3, "error")
@@ -458,7 +550,7 @@ def test_the_audit_searches_below_what_the_screen_finds(monkeypatch):
     # and basis vector's value, so only the search of sample 0, audited
     # though certified, reaches below it
     det_lower_bound = sweep_module.det_lower_bound
-    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff: det_lower_bound(coeff) + 1e-6)
+    monkeypatch.setattr(sweep_module, "det_lower_bound", lambda coeff, terms: det_lower_bound(coeff, terms) + 1e-6)
     sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 8}
     code, report = cli.run(config_from_mapping({"command": "verify-lemma", "sweep": sweep_keys}))
     assert (code, report["verdict"]) == (3, "error")
@@ -488,18 +580,33 @@ def test_a_polished_gap_below_its_bound_is_an_inconsistent_state(monkeypatch):
     assert " lies below its proven lower bound " in error["message"]
 
 
-def test_a_worst_value_at_a_basis_vector_is_labelled_as_one():
-    # one random vector, so that the best basis vector often wins; samples
-    # 1-39 are certified and not audited, so no search runs
+def uniform_vectors(coeff, griffiths, terms):
+    """extremal_vectors' stand-in: (1, ..., 1)/sqrt(r) for every sample."""
+    return np.full(coeff.shape[:2], coeff.shape[1] ** -0.5, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("kind", ["gap", "griffiths"])
+def test_a_worst_value_at_a_basis_vector_is_labelled_as_one(monkeypatch, kind):
+    # samples 1-39 are neither audited nor, for the gap, undecided, so each
+    # batch's minimum is a screened value: at the extremal vector, or at
+    # the best basis vector where that is lower.  The extremal vector is
+    # nearly always lower; with the uniform vector in its place both win
     cfg = replace(SMALL, random_vectors=1)
+    batches = [(0, 0.0, lo, lo + 1) for lo in range(1, 40)]
+    for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
+        pc = sweep_module.sample_curvature(3, 0.0, (cfg.seed, 0, i))
+        extremal = sweep_module.extremal_vectors(pc.coeff[None], kind == "griffiths")[0]
+        assert j == i and source in (EXTREMAL_SOURCE, ADVERSARIAL_SOURCE), i
+        assert source == ADVERSARIAL_SOURCE or np.array_equal(v, extremal), i
+    monkeypatch.setattr(sweep_module, "extremal_vectors", uniform_vectors)
     sources = []
-    results = sweep_module._run_batches(cfg, "gap", 3, [(0, 0.0, lo, lo + 1) for lo in range(1, 40)])
-    for lo, (_, (i, v, source), *_) in zip(range(1, 40), results, strict=True):
-        assert i == lo
+    for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
         is_basis = sorted(abs(x) for x in v) == [0.0, 0.0, 1.0]
-        assert source == (BASIS_SOURCE if is_basis else RANDOM_SOURCE), lo
+        if source != ADVERSARIAL_SOURCE:
+            assert source == (BASIS_SOURCE if is_basis else EXTREMAL_SOURCE), i
+            assert is_basis or np.allclose(v, 3**-0.5, rtol=0, atol=1e-15), i
         sources.append(source)
-    assert BASIS_SOURCE in sources and RANDOM_SOURCE in sources
+    assert BASIS_SOURCE in sources and EXTREMAL_SOURCE in sources
 
 
 def test_a_certified_sample_counts_as_converged_audited_or_not(monkeypatch):
@@ -559,8 +666,8 @@ def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypa
     griffiths_lower_bound, descend = sweep_module.griffiths_lower_bound, sweep_module.minimize_on_sphere
     starts = []
 
-    def lowered(coeff):
-        bound = griffiths_lower_bound(coeff)
+    def lowered(coeff, terms):
+        bound = griffiths_lower_bound(coeff, terms)
         bound[rows[rows < len(bound)]] = -1.0
         return bound
 
@@ -592,18 +699,19 @@ def test_a_positive_screen_with_a_bound_that_cannot_certify_is_searched(monkeypa
 def test_a_search_that_finds_nothing_lower_keeps_the_screened_vector(monkeypatch):
     # every flat sample is searched under a bound pushed down to -1; a
     # stand-in descent that finds nothing below +inf leaves each sample its
-    # screened value, and the worst record its screened vector and source
+    # screened value, the lowest of its extremal, basis and random test
+    # vectors, and the worst record its screened vector and source
     def nothing_lower(M, V0, *args):
         shape = V0.shape[:2]
         return V0, np.full(shape, np.inf), np.ones(shape, dtype=bool)
 
     monkeypatch.setattr(sweep_module, "build_batch", flat_batch)
-    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff: np.full(len(coeff), -1.0))
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff, terms: np.full(len(coeff), -1.0))
     monkeypatch.setattr(sweep_module, "minimize_on_sphere", nothing_lower)
     res = run_griffiths_sweep(replace(SMALL, batch_size=16))
     for c in res.results:
         assert (c.certified, c.converged_fraction) == (0, 1.0)
-        assert c.worst.source in (RANDOM_SOURCE, BASIS_SOURCE)
+        assert c.worst.source in SCREEN_SOURCES
         v = np.array(c.worst.v)
         flat = sweep_module.projectively_flat(c.rank).coeff
         q = np.einsum("i,ijab,j->ab", np.conj(v), flat, v) / np.vdot(v, v).real
@@ -616,7 +724,7 @@ def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
     # value, so only the search of sample 0, audited though refuted,
     # reaches below it
     griffiths_lower_bound = sweep_module.griffiths_lower_bound
-    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff: griffiths_lower_bound(coeff) + 1e-6)
+    monkeypatch.setattr(sweep_module, "griffiths_lower_bound", lambda coeff, terms: griffiths_lower_bound(coeff, terms) + 1e-6)
     sweep_keys = {"ranks": [2], "epsilons": [0.0], "samples": 8}
     code, report = cli.run(config_from_mapping({"command": "griffiths", "sweep": sweep_keys}))
     assert (code, report["verdict"]) == (3, "error")
@@ -756,15 +864,17 @@ print(min(counts))
 
 
 def test_polish_starts_from_the_batch_starts_of_the_worst_sample(monkeypatch):
-    # a gap batch picks every sample's first start, its best basis vector,
-    # through sweep's basis_and_random_starts, and searches only the samples
-    # its bound cannot certify and the audited ones; the polish descends
-    # through spheremin's minimize_on_sphere
+    # a gap batch picks every sample's best basis vector, the first start
+    # of any search, through sweep's basis_and_random_starts in one call
+    # with one start per sample, and the starts of the samples it searches
+    # in a second call; the polish descends through spheremin's
+    # minimize_on_sphere
     first_starts, polish_starts = [], []
 
     def recording_starts(M, objective, restarts, *args):
         starts = make_starts(M, objective, restarts, *args)
-        first_starts.append(starts[:, :1])
+        if restarts == 1:
+            first_starts.append(starts)
         return starts
 
     def recording_descent(M, V0, *args, **kwargs):
