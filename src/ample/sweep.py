@@ -24,10 +24,10 @@ random test vectors of the searched samples, whose first restarts - 1
 slots are also the random starts of their search.  Sample i reads row i of
 each stream, a fixed-stride window that no other sample touches (see
 curvature.seeded_draws), so a batch draws its samples with one generator
-per stream and vector slot, the random vectors only for the span of its
-searched samples and makes normals of theirs alone, and a sample never
-depends on the batch it falls in.  Configurations are enumerated rank-major over (ranks x
-epsilons).  Work is split into fixed-size batches by sample index, and
+per stream and vector slot, stream 2 only over the span of its searched
+samples, whose draws alone it makes normals, and a sample never depends
+on the batch it falls in.  Configurations are enumerated rank-major over
+(ranks x epsilons).  Work is split into fixed-size batches by sample index, and
 each rank's batches into min(workers, their count) contiguous runs; the
 runs of all configurations are one job list on workers = min(threads,
 batches, usable CPUs) workers.  A run screens, bounds and decides its
@@ -234,14 +234,17 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     V0 = basis_and_random_starts(Ms, objective, cfg.restarts, random)
     # a searched sample's screen goes on at its random test vectors, which
     # count only where they are lower
-    Vs = np.concatenate([V[searched], random[:, :R]], axis=1)
+    tested_vectors = np.concatenate([V[searched], random[:, :R]], axis=1)
     at_random = scale * objective_values(Ms, random[:, :R], objective) + offsets[searched, None]
     tested = np.concatenate([screen[searched], at_random], axis=1)
     idx_s = np.argmin(tested, axis=1)
     values[searched] = tested[np.arange(len(searched)), idx_s]
     # the best screened vector of each searched sample and of the first
     # lowest other one, the only other sample that can hold the minimum
-    best = {int(i): (tuple(Vs[k, j]), SCREEN_SOURCES[min(j, 2)]) for k, (i, j) in enumerate(zip(searched, idx_s))}
+    best = {
+        int(i): (tuple(tested_vectors[k, j]), SCREEN_SOURCES[min(j, 2)])
+        for k, (i, j) in enumerate(zip(searched, idx_s))
+    }
     if free.size:
         i = int(free[np.argmin(values[free])])
         best[i] = (tuple(V[i, idx[i]]), SCREEN_SOURCES[idx[i]])

@@ -420,8 +420,10 @@ def test_searched_rows_leave_reports_independent_of_batches_and_workers(monkeypa
             draws.clear()
             first = text(command)
             assert text(command, batch_size=7) == first
+            # two runs of two configurations, each with 13 audited samples,
+            # and undecided ones besides
             searched = sum(len(rows) for *_, rows, _ in draws)
-            assert searched > 2 * (800 // AUDIT_STRIDE + 1) * 2
+            assert searched > 2 * 2 * (800 // AUDIT_STRIDE + 1)
             for key, lo, count, r, rows, vectors in draws:
                 assert count == 4
                 for k, i in enumerate(rows):
@@ -585,28 +587,29 @@ def uniform_vectors(coeff, griffiths, terms):
     return np.full(coeff.shape[:2], coeff.shape[1] ** -0.5, dtype=np.complex128)
 
 
-@pytest.mark.parametrize("kind", ["gap", "griffiths"])
-def test_a_worst_value_at_a_basis_vector_is_labelled_as_one(monkeypatch, kind):
+def test_a_worst_value_at_a_basis_vector_is_labelled_as_one(monkeypatch):
     # samples 1-39 are neither audited nor, for the gap, undecided, so each
     # batch's minimum is a screened value: at the extremal vector, or at
     # the best basis vector where that is lower.  The extremal vector is
     # nearly always lower; with the uniform vector in its place both win
     cfg = replace(SMALL, random_vectors=1)
     batches = [(0, 0.0, lo, lo + 1) for lo in range(1, 40)]
-    for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
-        pc = sweep_module.sample_curvature(3, 0.0, (cfg.seed, 0, i))
-        extremal = sweep_module.extremal_vectors(pc.coeff[None], kind == "griffiths")[0]
-        assert j == i and source in (EXTREMAL_SOURCE, ADVERSARIAL_SOURCE), i
-        assert source == ADVERSARIAL_SOURCE or np.array_equal(v, extremal), i
+    for kind in ("gap", "griffiths"):
+        for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
+            pc = sweep_module.sample_curvature(3, 0.0, (cfg.seed, 0, i))
+            extremal = sweep_module.extremal_vectors(pc.coeff[None], kind == "griffiths")[0]
+            assert j == i and source in (EXTREMAL_SOURCE, ADVERSARIAL_SOURCE), (kind, i)
+            assert source == ADVERSARIAL_SOURCE or np.array_equal(v, extremal), (kind, i)
     monkeypatch.setattr(sweep_module, "extremal_vectors", uniform_vectors)
-    sources = []
-    for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
-        is_basis = sorted(abs(x) for x in v) == [0.0, 0.0, 1.0]
-        if source != ADVERSARIAL_SOURCE:
-            assert source == (BASIS_SOURCE if is_basis else EXTREMAL_SOURCE), i
-            assert is_basis or np.allclose(v, 3**-0.5, rtol=0, atol=1e-15), i
-        sources.append(source)
-    assert BASIS_SOURCE in sources and EXTREMAL_SOURCE in sources
+    for kind in ("gap", "griffiths"):
+        sources = []
+        for i, (_, (j, v, source), *_) in zip(range(1, 40), sweep_module._run_batches(cfg, kind, 3, batches), strict=True):
+            is_basis = sorted(abs(x) for x in v) == [0.0, 0.0, 1.0]
+            if source != ADVERSARIAL_SOURCE:
+                assert source == (BASIS_SOURCE if is_basis else EXTREMAL_SOURCE), (kind, i)
+                assert is_basis or np.allclose(v, 3**-0.5, rtol=0, atol=1e-15), (kind, i)
+            sources.append(source)
+        assert BASIS_SOURCE in sources and EXTREMAL_SOURCE in sources, kind
 
 
 def test_a_certified_sample_counts_as_converged_audited_or_not(monkeypatch):
