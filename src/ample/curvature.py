@@ -54,14 +54,16 @@ The same construction gives each sample its bound's extremal vector
 (extremal_vectors), at which sweeps screen it: u the top eigenvector of G,
 then for the gap the eigenvector of S_u whose eigenvalue is largest in
 absolute value, and for the smallest eigenvalue the bottom eigenvector of
-T/2 - S_{+-u}.  One small Hermitian eigen-kernel (_extreme_eigenpairs)
-gives lambda_min(T), lambda_max(G) with u, and those vectors, from T, S
-and G computed once per batch (_bound_terms): in closed form at r <= 3,
-the 2 x 2 formula or Smith's trigonometric eigenvalues with a null vector
-of A - lambda I, and by LAPACK from r = 4 on and on rows whose wanted
-eigenvalue is nearly doubled.  Against LAPACK the closed form agrees to
-about 10^-14 of the matrix's scale, far inside the 1e-9 rounding allowance
-of the bounds.
+T/2 - S_{+-u}.  _bound_terms computes T, S and G once per batch, and with
+them the two estimates, t_min = lambda_min(T) and s_sq = ((r-1)/r)
+lambda_max(G), which are all that the two bounds read.  One small
+Hermitian eigen-kernel (_extreme_eigenpairs) gives lambda_min(T),
+lambda_max(G) with u, and those vectors: in closed form at r <= 3, the
+2 x 2 formula or Smith's trigonometric eigenvalues with a null vector of
+A - lambda I, and otherwise by one LAPACK fallback, taken by every row
+from r = 4 on and by the rows whose closed form it cannot trust.  Against
+LAPACK the closed form agrees to about 10^-14 of the matrix's scale, far
+inside the 1e-9 rounding allowance of the bounds.
 """
 
 from __future__ import annotations
@@ -436,18 +438,19 @@ def gap_scale_offset(r: int, epsilon: float, lhs):
 class BoundTerms(NamedTuple):
     """What the bounds and the extremal vectors of a batch read, computed
     once per batch by _bound_terms: T = C00 + C11, the stack S of S_1, S_2,
-    S_3, lambda_min(T), lambda_max(G) and a unit top eigenvector u of G."""
+    S_3, the proof's two estimates t_min = lambda_min(T) and
+    s_sq = ((r-1)/r) lambda_max(G), and a unit top eigenvector u of G."""
 
     T: np.ndarray
     S: np.ndarray
     t_min: np.ndarray
-    g_top: np.ndarray
+    s_sq: np.ndarray
     u: np.ndarray
 
 
 def _bound_terms(coeff: np.ndarray) -> BoundTerms:
     """The BoundTerms of coeff, shape (n, r, r, 2, 2): t >= t_min and
-    |s|^2 <= ((r-1)/r) g_top at every unit v (see the module docstring).
+    |s|^2 <= s_sq at every unit v (see the module docstring).
 
     Each sample's values are computed by the same operations whatever the
     batch, so their bits do not depend on the other samples.
@@ -463,7 +466,8 @@ def _bound_terms(coeff: np.ndarray) -> BoundTerms:
         G[:, k, l] = G[:, l, k] = np.einsum("ni,ni->n", F[:, k], F[:, l])
     T = c00 + c11
     g_top, u = _extreme_eigenpairs(G, "top")
-    return BoundTerms(T, S, _extreme_eigenpairs(T, "bottom", vectors=False)[0], g_top, u)
+    t_min = _extreme_eigenpairs(T, "bottom", vectors=False)[0]
+    return BoundTerms(T, S, t_min, (r - 1) / r * g_top, u)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -487,93 +491,76 @@ def _extreme_eigenpairs(A: np.ndarray, end: str, vectors: bool = True):
     at r = 3 the largest cross product of two rows of N.  N x = 0 asks
     n . x = 0 of each row n of N under the plain, bilinear dot product, so
     the cross products are plain ones, not conjugated; they are the rows of
-    N's cofactor matrix, which is Hermitian like N.  Where det(D)/2 < -0.999 the largest eigenvalue is
-    nearly doubled, and where it is > 0.999 the smallest: arccos, whose
-    slope there grows as 1/sin(3 phi), would pass on the rounding of
-    det(D)/2 magnified up to 10^8 times.  Those rows, rows whose null
-    vector vanishes (A = lambda I, or a doubled eigenvalue at r = 2) and
-    every row from r = 4 on take LAPACK's eigh, or eigvalsh without
-    vectors.  Only the diagonal and upper triangle of A are read in closed
-    form, and each row's bits depend on that row alone.
+    N's cofactor matrix, which is Hermitian like N.
+
+    One fallback block, LAPACK's eigh (eigvalsh without vectors), takes
+    every row from r = 4 on and each row whose closed form it cannot trust.
+    Where det(D)/2 < -0.999 the largest eigenvalue is nearly doubled, and
+    where it is > 0.999 the smallest: arccos, whose slope there grows as
+    1/sin(3 phi), would pass on the rounding of det(D)/2 magnified up to
+    10^8 times.  With vectors, so do rows whose null vector vanishes
+    (A = lambda I, or a doubled eigenvalue at r = 2).  The fallback picks
+    the end, "outer" included, from LAPACK's own eigenvalues.  Only the
+    diagonal and upper triangle of A are read in closed form, and each
+    row's bits depend on that row alone.
     """
     n, r, _ = A.shape
-    rows = np.arange(n)
-    if r >= 4:
-        if not vectors:
-            w = np.linalg.eigvalsh(A)
-            return w[rows, _column(w, end)], None
-        w, X = np.linalg.eigh(A)
-        j = _column(w, end)
-        return w[rows, j], X[rows, :, j]
-    a, b = A[:, 0, 0].real, A[:, 1, 1].real
-    if r == 2:
-        d = A[:, 0, 1]
-        m, h = 0.5 * (a + b), 0.5 * (a - b)
-        s = np.sqrt(h * h + _abs2(d))
-        low, high = m - s, m + s
-        low_doubled = high_doubled = np.zeros(n, dtype=bool)
-    else:
-        c = A[:, 2, 2].real
-        d, e, f = A[:, 0, 1], A[:, 0, 2], A[:, 1, 2]
-        m = (a + b + c) / 3.0
-        da, db, dc = (2.0 * a - b - c) / 3.0, (2.0 * b - a - c) / 3.0, (2.0 * c - a - b) / 3.0
-        dd, ee, ff = _abs2(d), _abs2(e), _abs2(f)
-        p = np.sqrt((da * da + db * db + dc * dc + 2.0 * (dd + ee + ff)) / 6.0)
-        inv = 1.0 / np.where(p > 0.0, p, 1.0)
-        det = da * db * dc - da * ff - db * ee - dc * dd + 2.0 * (d * f * np.conj(e)).real
-        half_det = 0.5 * det * inv * inv * inv
-        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-        high = np.where(p > 0.0, m + 2.0 * p * np.cos(phi), a)
-        low = np.where(p > 0.0, m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), a)
-        high_doubled, low_doubled = half_det < -0.999, half_det > 0.999
-    top = np.abs(high) >= np.abs(low) if end == "outer" else np.full(n, end == "top")
-    values = np.where(top, high, low)
-    doubled = np.where(top, high_doubled, low_doubled)
-    if not vectors:
-        redo = np.flatnonzero(doubled)
-        if redo.size:
-            w = np.linalg.eigvalsh(A[redo])
-            values[redo] = np.where(top[redo], w[:, -1], w[:, 0])
-        return values, None
-    a, b = a - values, b - values
-    if r == 2:
-        X = np.stack([np.stack([d, -a], axis=1), np.stack([b, -np.conj(d)], axis=1)], axis=1)
-        norms = _abs2(X).sum(axis=2)
-    else:
-        c = c - values
-        c00, c11, c22 = b * c - ff, a * c - ee, a * b - dd
-        c01 = f * np.conj(e) - np.conj(d) * c
-        c02 = np.conj(d * f) - b * np.conj(e)
-        c12 = d * np.conj(e) - a * np.conj(f)
-        n01, n02, n12 = _abs2(c01), _abs2(c02), _abs2(c12)
-        cofactors = [c00, c01, c02, np.conj(c01), c11, c12, np.conj(c02), np.conj(c12), c22]
-        X = np.stack(cofactors, axis=1).reshape(n, 3, 3)
-        norms = np.stack([c00 * c00 + n01 + n02, n01 + c11 * c11 + n12, n02 + n12 + c22 * c22], axis=1)
-    best = np.argmax(norms, axis=1)
-    norm = norms[rows, best]
-    X = X[rows, best] / np.sqrt(np.where(norm > 0.0, norm, 1.0))[:, None]
-    redo = np.flatnonzero(doubled | ~(norm >= np.finfo(float).tiny))
+    values, X, redo = np.empty(n), np.empty((n, r), dtype=A.dtype), np.ones(n, dtype=bool)
+    if r <= 3:
+        a, b = A[:, 0, 0].real, A[:, 1, 1].real
+        if r == 2:
+            d = A[:, 0, 1]
+            m, h = 0.5 * (a + b), 0.5 * (a - b)
+            dd = _abs2(d)
+            s = np.sqrt(h * h + dd)
+            low, high = m - s, m + s
+            low_doubled = high_doubled = np.zeros(n, dtype=bool)
+        else:
+            c = A[:, 2, 2].real
+            d, e, f = A[:, 0, 1], A[:, 0, 2], A[:, 1, 2]
+            m = (a + b + c) / 3.0
+            da, db, dc = (2.0 * a - b - c) / 3.0, (2.0 * b - a - c) / 3.0, (2.0 * c - a - b) / 3.0
+            dd, ee, ff = _abs2(d), _abs2(e), _abs2(f)
+            p = np.sqrt((da * da + db * db + dc * dc + 2.0 * (dd + ee + ff)) / 6.0)
+            inv = 1.0 / np.where(p > 0.0, p, 1.0)
+            det = da * db * dc - da * ff - db * ee - dc * dd + 2.0 * (d * f * np.conj(e)).real
+            half_det = 0.5 * det * inv * inv * inv
+            phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+            high = np.where(p > 0.0, m + 2.0 * p * np.cos(phi), a)
+            low = np.where(p > 0.0, m + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), a)
+            high_doubled, low_doubled = half_det < -0.999, half_det > 0.999
+        top = np.abs(high) >= np.abs(low) if end == "outer" else np.full(n, end == "top")
+        values = np.where(top, high, low)
+        redo = np.where(top, high_doubled, low_doubled)
+        if vectors:
+            a, b = a - values, b - values
+            if r == 2:
+                X = np.stack([np.stack([d, -a], axis=1), np.stack([b, -np.conj(d)], axis=1)], axis=1)
+                norms = np.stack([dd + a * a, b * b + dd], axis=1)
+            else:
+                c = c - values
+                c00, c11, c22 = b * c - ff, a * c - ee, a * b - dd
+                c01 = f * np.conj(e) - np.conj(d) * c
+                c02 = np.conj(d * f) - b * np.conj(e)
+                c12 = d * np.conj(e) - a * np.conj(f)
+                n01, n02, n12 = _abs2(c01), _abs2(c02), _abs2(c12)
+                cofactors = [c00, c01, c02, np.conj(c01), c11, c12, np.conj(c02), np.conj(c12), c22]
+                X = np.stack(cofactors, axis=1).reshape(n, 3, 3)
+                norms = np.stack([c00 * c00 + n01 + n02, n01 + c11 * c11 + n12, n02 + n12 + c22 * c22], axis=1)
+            best = np.argmax(norms, axis=1)
+            norm = norms[np.arange(n), best]
+            X = X[np.arange(n), best] / np.sqrt(np.where(norm > 0.0, norm, 1.0))[:, None]
+            redo |= ~(norm >= np.finfo(float).tiny)
+    redo = np.flatnonzero(redo)
     if redo.size:
-        w, Y = np.linalg.eigh(A[redo])
-        j = np.where(top[redo], r - 1, 0)
-        values[redo], X[redo] = w[np.arange(redo.size), j], Y[np.arange(redo.size), :, j]
-    return values, X
-
-
-def _column(w: np.ndarray, end: str) -> np.ndarray:
-    # the column of ascending eigenvalues w that an end of _extreme_eigenpairs takes
-    r = w.shape[1]
-    if end == "outer":
-        return np.where(np.abs(w[:, -1]) >= np.abs(w[:, 0]), r - 1, 0)
-    return np.full(len(w), r - 1 if end == "top" else 0)
-
-
-def _estimates(coeff: np.ndarray, terms: BoundTerms | None) -> tuple[np.ndarray, np.ndarray]:
-    # (lambda_min T, ((r-1)/r) lambda_max G): t >= the first and |s|^2 <= the
-    # second at every unit v
-    terms = _bound_terms(coeff) if terms is None else terms
-    r = coeff.shape[1]
-    return terms.t_min, (r - 1) / r * terms.g_top
+        rest = A if redo.size == n else A[redo]  # no copy of a batch that is all fallback
+        w, Y = np.linalg.eigh(rest) if vectors else (np.linalg.eigvalsh(rest), None)
+        top = np.abs(w[:, -1]) >= np.abs(w[:, 0]) if end == "outer" else np.full(redo.size, end == "top")
+        j, rows = np.where(top, r - 1, 0), np.arange(redo.size)
+        values[redo] = w[rows, j]
+        if vectors:
+            X[redo] = Y[rows, :, j]
+    return values, (X if vectors else None)
 
 
 def det_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) -> np.ndarray:
@@ -582,8 +569,8 @@ def det_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) -> np.nd
     (see the module docstring); its bits do not depend on the batch.  terms
     are coeff's _bound_terms, computed here when not given.
     """
-    t_min, s_sq = _estimates(coeff, terms)
-    return np.maximum(t_min, 0.0) ** 2 / 4.0 - s_sq
+    terms = _bound_terms(coeff) if terms is None else terms
+    return np.maximum(terms.t_min, 0.0) ** 2 / 4.0 - terms.s_sq
 
 
 def griffiths_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) -> np.ndarray:
@@ -593,8 +580,8 @@ def griffiths_lower_bound(coeff: np.ndarray, terms: BoundTerms | None = None) ->
     docstring); its bits do not depend on the batch.  terms are coeff's
     _bound_terms, computed here when not given.
     """
-    t_min, s_sq = _estimates(coeff, terms)
-    return t_min / 2.0 - np.sqrt(s_sq)
+    terms = _bound_terms(coeff) if terms is None else terms
+    return terms.t_min / 2.0 - np.sqrt(terms.s_sq)
 
 
 def extremal_vectors(coeff: np.ndarray, griffiths: bool = False, terms: BoundTerms | None = None) -> np.ndarray:
@@ -607,7 +594,8 @@ def extremal_vectors(coeff: np.ndarray, griffiths: bool = False, terms: BoundTer
     value, that is the top eigenvector of S_u or of S_{-u}, whichever top
     eigenvalue is larger, which |s| is at least; for the smallest
     eigenvalue the bottom eigenvector of T/2 - S_{+-u}, whichever sign has
-    the lower bottom eigenvalue, since min over v of lambda_min q is the
+    the lower bottom eigenvalue (both from one kernel call, and T/2 - S_u
+    on a tie), since min over v of lambda_min q is the
     min over unit u of lambda_min(T/2 - S_u).  At rank 2 with B = 0 both
     are the minimizers (see the module docstring).  terms are coeff's
     _bound_terms, computed here when not given; each row's bits depend on
@@ -618,10 +606,9 @@ def extremal_vectors(coeff: np.ndarray, griffiths: bool = False, terms: BoundTer
     Su = u[:, 0] * S[:, 0] + u[:, 1] * S[:, 1] + u[:, 2] * S[:, 2]
     if not griffiths:
         return _extreme_eigenpairs(Su, "outer")[1]
-    half = 0.5 * terms.T
-    both = _extreme_eigenpairs(np.concatenate([half - Su, half + Su]), "bottom", vectors=False)[0]
-    flip = both[len(Su) :] < both[: len(Su)]
-    return _extreme_eigenpairs(half - np.where(flip[:, None, None], -Su, Su), "bottom")[1]
+    half, n = 0.5 * terms.T, len(Su)
+    values, X = _extreme_eigenpairs(np.concatenate([half - Su, half + Su]), "bottom")
+    return np.where((values[n:] < values[:n])[:, None], X[n:], X[:n])
 
 
 def gap_lower_bound(coeff: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,13 +1,17 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ample import cli
+from ample.bundles import _lines, chern_of, is_semistable_split
 from ample.cli import main
+from ample.config import config_from_mapping
 
 SCHEMA = json.loads(
     resources.files("ample").joinpath("report.schema.json").read_text()
@@ -61,6 +65,18 @@ def test_check_passes_with_all_assertions(capsys, tmp_path):
     assert report["results"]["lubke_coefficient"] == "12/5"
     assert report["warnings"] == []
     assert "hypotheses-satisfied" in err
+
+
+def test_the_readmes_check_example_asserts_what_its_slopes_confirm():
+    # the first json block of the README is its check example: it asserts
+    # semistability, so its lines must have equal slopes against det E
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    cfg = config_from_mapping(dict(doc, command="check"))
+    code, report = cli.run(cfg)
+    assert (code, report["verdict"]) == (0, "hypotheses-satisfied")
+    assert doc["assertions"]["semistable"]
+    assert is_semistable_split(_lines(cfg.bundle), chern_of(cfg.bundle).c1)
 
 
 def test_check_fails_on_the_boundary(capsys, tmp_path):

@@ -625,7 +625,7 @@ def test_the_terms_at_the_flat_point_and_at_a_multiple_of_the_identity():
     for r in (2, 3, 4):
         coeff = projectively_flat(r).coeff[None]
         terms = _bound_terms(coeff)
-        assert terms.g_top.tolist() == [0.0]
+        assert terms.s_sq.tolist() == [0.0]
         assert terms.t_min[0] == pytest.approx(2.0 / r, abs=1e-15)
         assert np.linalg.norm(terms.u[0]) == pytest.approx(1.0, abs=1e-15)
         for griffiths in (False, True):
@@ -645,7 +645,7 @@ def test_the_kernel_and_extremal_vectors_of_a_sample_do_not_depend_on_its_batch(
     def outputs(part):
         terms = _bound_terms(part)
         vectors = [extremal_vectors(part, griffiths, terms) for griffiths in (False, True)]
-        return [terms.t_min, terms.g_top, terms.u, *vectors]
+        return [terms.t_min, terms.s_sq, terms.u, *vectors]
 
     whole = outputs(coeff)
     for size in (1, 7, 64):
@@ -671,6 +671,22 @@ def test_the_extremal_vectors_attain_both_bounds_at_rank_two_without_error():
         assert gap_at(pc, v) == pytest.approx(bound, abs=1e-9)
     for pc, v, bound in zip(pcs, griffiths_v, griffiths_bound):
         assert smallest_eigenvalue_at(pc, v) == pytest.approx(bound, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_the_griffiths_extremal_vector_takes_the_lower_sign(r, eps):
+    # lambda_min q(v) <= <v, (T/2 - S_u) v> at every unit v, so at the bottom
+    # eigenvector of whichever of T/2 -+ S_u has the lower bottom eigenvalue
+    # it is at most the lower of the two; at r = 2, eps = 0 they are equal
+    coeff, _ = build_batch(r, eps, seeded_draws((37, r), 0, 500, _coefficient_count(r)))
+    terms = _bound_terms(coeff)
+    Su = np.einsum("nk,nkij->nij", terms.u, terms.S)
+    half = terms.T / 2
+    lower = np.minimum(np.linalg.eigvalsh(half - Su)[:, 0], np.linalg.eigvalsh(half + Su)[:, 0])
+    v = extremal_vectors(coeff, True, terms)
+    q = np.einsum("ni,nijab,nj->nab", np.conj(v), coeff, v)
+    assert np.all(np.linalg.eigvalsh(q)[:, 0] <= lower + 1e-12)
 
 
 def test_the_extremal_vector_reaches_the_minimum_of_the_entrywise_family():

@@ -28,7 +28,6 @@ from ample.sweep import (
     AUDIT_STRIDE,
     BASIS_SOURCE,
     EXTREMAL_SOURCE,
-    RANDOM_SOURCE,
     SCREEN_SOURCES,
     SweepConfig,
     export_histograms,
@@ -59,9 +58,11 @@ def test_gap_sweep_passes_and_reports_each_configuration():
     for c in res.results:
         assert c.samples == 40
         assert c.min_value >= -1e-9
+        # every value is at least its own sample's bound
+        assert c.min_value >= c.min_bound - 1e-9
         assert c.mean_value >= c.min_value
         assert c.worst.value == c.min_value
-        assert c.worst.source in (RANDOM_SOURCE, ADVERSARIAL_SOURCE)
+        assert c.worst.source in (*SCREEN_SOURCES, ADVERSARIAL_SOURCE)
         assert sum(count for _, _, count in c.histogram) == 40
         assert 0.0 <= c.converged_fraction <= 1.0
     assert res.min_value == min(c.min_value for c in res.results)
