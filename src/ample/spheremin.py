@@ -411,8 +411,9 @@ def griffiths_min(
     """Minimum over unit v of the smallest eigenvalue of the form <v, Theta v>.
 
     A positive value certifies that the curvature is Griffiths positive at
-    the point, up to the confidence of the multi-start search; the
-    projectively flat point returns exactly 1/r.
+    the point, up to the confidence of the multi-start search; at the
+    projectively flat point it returns 1/r up to rounding
+    (0.33333333333333326 at r = 3).
     """
     _, f, _ = _search([pc], lmin_objective, restarts, tol, iterations)
     return float(f[0].min())

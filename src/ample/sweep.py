@@ -12,10 +12,12 @@ terms as the bound, and the best basis vector.  A sample is decided when
 its bound passes, and it is then certified, or when a screened value fails
 it.  The samples that are not decided and, as an audit of the bound, every
 AUDIT_STRIDE-th sample are also screened at random test vectors and
-searched by the adversarial multi-start descent.  A sample's value is the
-lowest one found for it.  A sweep passes when its lowest value found
-passes.  Every value found, the polished ones too, is checked against its
-sample's bound.
+searched by the adversarial multi-start descent.  A sample's candidates
+are taken in this order: the extremal vector, the best basis vector, the
+random test vectors and the ends of the search; its value, vector and
+source are those of the first lowest.  A sweep passes when its lowest
+value found passes.  Every value found, the polished ones too, is checked
+against its sample's bound.
 
 Determinism contract: configuration config_index of a sweep with base
 seed s owns Philox streams keyed by SeedSequence((s, config_index),
@@ -184,18 +186,20 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     its bound passes (_passes) or a screened value fails; the search runs
     on the samples that are not decided and, as an audit of the bound, on
     those whose index is a multiple of AUDIT_STRIDE.  Only the searched
-    samples draw random vectors: the first random_vectors are test vectors,
-    screened before the search, and the first restarts - 1 the random
-    starts of their search.  A random test vector counts where it is lower
-    than both screened vectors, a searched value where it is lower than
-    every vector screened.  A certified sample is one whose bound passes.
-    A decided sample counts as converged, a searched one that is not
-    decided when it converged in every start.  A value below its sample's
-    bound by more than rounding is InconsistentStateError, since the bound
-    is a theorem.  A batch whose constraint residuals fail
-    check_residuals' rule stops right after them, with nothing to search,
-    and finishes with NaN values and no minimum: the search would only run
-    on numbers that break the constraints.
+    samples draw random vectors: the first random_vectors are test vectors
+    and the first restarts - 1 the random starts of their search.
+    A sample's candidates are taken in this order: the extremal vector,
+    the best basis vector, and for a searched sample its random test
+    vectors and the ends of its search.  Its value, vector and source are
+    those of the first lowest candidate, so a later one counts only where
+    it is lower; a NaN candidate is taken, and _reduce rejects it.  A
+    certified sample is one whose bound passes.  A decided sample counts as
+    converged, a searched one that is not decided when it converged in
+    every start.  A value below its sample's bound by more than rounding is
+    InconsistentStateError, since the bound is a theorem.  A batch whose
+    constraint residuals fail check_residuals' rule stops right after them,
+    with nothing to search, and finishes with NaN values and no minimum:
+    the search would only run on numbers that break the constraints.
     """
     n = hi - lo
     key = (cfg.seed, ci)
@@ -215,8 +219,6 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     objective = _objective(kind)
     terms = _bound_terms(coeff)
     scale, offsets, bound, floor = _bound(kind, coeff, epsilon, terms)
-    # the extremal vector goes first, so that the best basis vector counts
-    # only where it is lower
     extremal = extremal_vectors(coeff, kind == "griffiths", terms)[:, None]
     V = np.concatenate([extremal, basis_and_random_starts(M, objective, 1, np.empty((n, 0, r)))], axis=1)
     screen = scale * objective_values(M, V, objective) + offsets[:, None]
@@ -226,47 +228,35 @@ def _run_batch(cfg: SweepConfig, kind: str, ci: int, r: int, epsilon: float, lo:
     decided = certified | ~_passes(cfg, kind, values)
     search = ~decided | (np.arange(lo, hi) % AUDIT_STRIDE == 0)
     searched, free = np.flatnonzero(search), np.flatnonzero(~search)
+    # the screened vector of the first lowest unsearched sample, the only
+    # one of them that can hold the batch's minimum
+    i = int(free[np.argmin(values[free])]) if free.size else 0
+    unsearched = (tuple(V[i, idx[i]]), SCREEN_SOURCES[idx[i]])
     # only the searched samples draw random vectors: the random test vectors
     # are the first slots of their stream and the random starts of a search
     # its first restarts - 1
     random = random_unit_vectors(key, lo, n, max(R, cfg.restarts - 1), r, searched)
     Ms = form_matrices(coeff[searched])
     V0 = basis_and_random_starts(Ms, objective, cfg.restarts, random)
-    # a searched sample's screen goes on at its random test vectors, which
-    # count only where they are lower
-    tested_vectors = np.concatenate([V[searched], random[:, :R]], axis=1)
-    at_random = scale * objective_values(Ms, random[:, :R], objective) + offsets[searched, None]
-    tested = np.concatenate([screen[searched], at_random], axis=1)
-    idx_s = np.argmin(tested, axis=1)
-    values[searched] = tested[np.arange(len(searched)), idx_s]
-    # the best screened vector of each searched sample and of the first
-    # lowest other one, the only other sample that can hold the minimum
-    best = {
-        int(i): (tuple(tested_vectors[k, j]), SCREEN_SOURCES[min(j, 2)])
-        for k, (i, j) in enumerate(zip(searched, idx_s))
-    }
-    if free.size:
-        i = int(free[np.argmin(values[free])])
-        best[i] = (tuple(V[i, idx[i]]), SCREEN_SOURCES[idx[i]])
-    # the rows checked against their bound: the searched ones and the
-    # first other one that lies below it already
-    watch = np.sort(np.concatenate([searched, free[values[free] < floor[free]][:1]]))
-    bound_min, bound, floor = float(bound.min()), bound[watch], floor[watch]
-    offsets, undecided = offsets[searched], ~decided[searched]
+    # a searched sample's candidates before its search, in screening order;
+    # objective_values reads each row alone, so the screened two keep their bits
+    tested = np.concatenate([V[searched], random[:, :R]], axis=1)
+    offsets = offsets[searched, None]
+    at_tested = scale * objective_values(Ms, tested, objective) + offsets
+    sources = SCREEN_SOURCES[:2] + (RANDOM_SOURCE,) * R + (ADVERSARIAL_SOURCE,) * cfg.restarts
+    bound_min, undecided = float(bound.min()), ~decided[searched]
     certified, decided = int(certified.sum()), int(decided.sum())
 
     def finish(Vs, fs, converged):
-        found = scale * fs + offsets[:, None]
+        found = np.concatenate([at_tested, scale * fs + offsets], axis=1)
         j = np.argmin(found, axis=1)
-        found = found[np.arange(len(searched)), j]
-        lower = found < values[searched]
-        values[searched[lower]] = found[lower]
-        _check_bound(kind, r, epsilon, lo + watch, values[watch], bound, floor)
+        values[searched] = found[np.arange(len(searched)), j]
+        _check_bound(kind, r, epsilon, range(lo, hi), values, bound, floor)
         i = int(np.argmin(values))
         k = int(np.searchsorted(searched, i))
-        v, source = best[i]
-        if k < len(searched) and searched[k] == i and lower[k]:
-            v, source = tuple(Vs[k, j[k]]), ADVERSARIAL_SOURCE
+        v, source = unsearched
+        if k < len(searched) and searched[k] == i:
+            v, source = tuple(np.concatenate([tested[k], Vs[k]])[j[k]]), sources[j[k]]
         converged = decided + int(converged.all(axis=1)[undecided].sum())
         return values, (lo + i, v, source), residual_max, converged, (certified, bound_min)
 
@@ -621,9 +611,10 @@ def run_griffiths_sweep(cfg: SweepConfig) -> SweepResult:
     stayed strictly positive, i.e. Griffiths positivity held at each
     sampled point as far as the bound and the search can tell.  Each
     configuration reports how many samples the bound certified and the
-    lowest bound.  Random curvatures need not be positive; the
-    projectively-flat mode gives the clean reference value 1/r, which is
-    also its bound.
+    lowest bound.  Random curvatures need not be positive; in the
+    projectively-flat mode the minimum and the bound are 1/r, and the
+    reported min is 1/r up to rounding, which can put it a few ulps below
+    min_bound (0.49999999999999983 against 0.5 at r = 2).
     """
     return _run_sweep(cfg, "griffiths")
 

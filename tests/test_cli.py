@@ -52,9 +52,10 @@ def split_bundle(*degrees):
 
 
 def test_check_passes_with_all_assertions(capsys, tmp_path):
+    # O(h)^3 asserts semistability, which its equal slopes confirm
     doc = {
         "ring": P2,
-        "bundle": split_bundle({"h": "2"}, {"h": "1"}, {"h": "1"}),
+        "bundle": split_bundle({"h": "1"}, {"h": "1"}, {"h": "1"}),
         "assertions": ALL_ASSERTED,
     }
     code, report, err = report_of(
@@ -63,8 +64,28 @@ def test_check_passes_with_all_assertions(capsys, tmp_path):
     assert report["verdict"] == "hypotheses-satisfied"
     assert report["results"]["rank"] == 3
     assert report["results"]["lubke_coefficient"] == "12/5"
+    assert report["results"]["lubke_gap"] == "9/5"
     assert report["warnings"] == []
     assert "hypotheses-satisfied" in err
+    cfg = config_from_mapping(dict(doc, command="check"))
+    assert is_semistable_split(_lines(cfg.bundle), chern_of(cfg.bundle).c1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="check trusts an asserted semistability that the bundle's own slopes refute",
+)
+def test_check_does_not_satisfy_a_semistability_its_slopes_refute():
+    # O(2h) + O(h) + O(h) has slopes 8, 4 and 4 against det E = 4h
+    doc = {
+        "command": "check",
+        "ring": P2,
+        "bundle": split_bundle({"h": "2"}, {"h": "1"}, {"h": "1"}),
+        "assertions": ALL_ASSERTED,
+    }
+    cfg = config_from_mapping(doc)
+    assert not is_semistable_split(_lines(cfg.bundle), chern_of(cfg.bundle).c1)
+    assert cli.run(cfg)[1]["verdict"] != "hypotheses-satisfied"
 
 
 def test_the_readmes_check_example_asserts_what_its_slopes_confirm():

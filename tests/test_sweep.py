@@ -28,6 +28,7 @@ from ample.sweep import (
     AUDIT_STRIDE,
     BASIS_SOURCE,
     EXTREMAL_SOURCE,
+    RANDOM_SOURCE,
     SCREEN_SOURCES,
     SweepConfig,
     export_histograms,
@@ -720,6 +721,75 @@ def test_a_search_that_finds_nothing_lower_keeps_the_screened_vector(monkeypatch
         flat = sweep_module.projectively_flat(c.rank).coeff
         q = np.einsum("i,ijab,j->ab", np.conj(v), flat, v) / np.vdot(v, v).real
         assert np.linalg.eigvalsh(q)[0] == pytest.approx(c.worst.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gap", "griffiths"])
+def test_a_random_test_vector_counts_only_where_it_is_lower_than_the_screen(monkeypatch, kind):
+    # on the entrywise family at epsilon 0.1 every basis vector has the same
+    # value, and the uniform vector a lower one; with e_1 as the extremal
+    # vector and a bound pushed far down, every sample is searched, and a
+    # descent that ends at +inf leaves it its lowest screened value.  Every
+    # random test vector is e_1, which ties the screen and keeps its label,
+    # but for slot restarts - 1, the first that is not a start, which holds
+    # e_1 too or the uniform vector; that one is lower than both screened
+    # values and is labelled a random test vector
+    cfg = replace(SMALL, epsilons=(0.1,), random_vectors=4)
+    slot = cfg.restarts - 1
+
+    def nothing_lower(M, V0, *args):
+        shape = V0.shape[:2]
+        return V0, np.full(shape, np.inf), np.ones(shape, dtype=bool)
+
+    def value_at(r, v):
+        coeff, B = (a[0] for a in family_batch(r, 0.1, np.zeros((1, 1))))
+        if kind == "gap":
+            return pointwise_gap(sweep_module.PointCurvature(r, coeff, 0.1, B), v).gap
+        return np.linalg.eigvalsh(np.einsum("i,ijab,j->ab", np.conj(v), coeff, v))[0]
+
+    def with_slot(vector_of):
+        def drawn(key, lo, n, count, r, rows):
+            vectors = np.zeros((len(rows), count, r), dtype=np.complex128)
+            vectors[..., 0] = 1.0
+            vectors[:, slot] = vector_of(r)
+            return vectors
+        return drawn
+
+    lowered = {"gap": "det_lower_bound", "griffiths": "griffiths_lower_bound"}[kind]
+    monkeypatch.setattr(sweep_module, "build_batch", family_batch)
+    monkeypatch.setattr(sweep_module, "extremal_vectors", first_basis_vectors)
+    monkeypatch.setattr(sweep_module, lowered, lambda coeff, terms: np.full(len(coeff), -1e6))
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", nothing_lower)
+    sweep = run_gap_sweep if kind == "gap" else run_griffiths_sweep
+
+    monkeypatch.setattr(sweep_module, "random_unit_vectors", with_slot(lambda r: np.eye(r)[0]))
+    for c in sweep(cfg).results:
+        assert c.certified == 0 and c.worst.source in (EXTREMAL_SOURCE, BASIS_SOURCE)
+        assert c.worst.value == pytest.approx(value_at(c.rank, np.eye(c.rank)[0]), abs=1e-12)
+
+    uniform = lambda r: np.full(r, r**-0.5, dtype=np.complex128)
+    monkeypatch.setattr(sweep_module, "random_unit_vectors", with_slot(uniform))
+    for c in sweep(cfg).results:
+        assert c.worst.source == RANDOM_SOURCE
+        assert np.array_equal(np.array(c.worst.v), uniform(c.rank))
+        assert c.worst.value == pytest.approx(value_at(c.rank, uniform(c.rank)), abs=1e-12)
+        assert c.worst.value < value_at(c.rank, np.eye(c.rank)[0]) - 1e-3
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "griffiths"])
+def test_a_search_that_ends_at_nan_is_an_inconsistent_state(monkeypatch, command):
+    # a descent whose every end is NaN, on the audited samples at least,
+    # makes the sweep's values non-finite, as a NaN screened value does
+    def nan_ends(M, V0, *args):
+        shape = V0.shape[:2]
+        return V0, np.full(shape, np.nan), np.ones(shape, dtype=bool)
+
+    monkeypatch.setattr(sweep_module, "minimize_on_sphere", nan_ends)
+    doc = {"command": command, "sweep": {"ranks": [2, 3], "samples": 40}}
+    code, report = cli.run(config_from_mapping(doc))
+    assert (code, report["verdict"]) == (3, "error")
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    assert error["message"] == "rank 2, epsilon 0.0: non-finite sweep values"
 
 
 def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
