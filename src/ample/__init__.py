@@ -5,7 +5,8 @@ only the standard library.  The floating-point layer (curvature, spheremin,
 sweep) needs numpy, so its public names are resolved by __getattr__ on
 first access, which imports the module that defines the name: ``import
 ample`` and every exact command leave numpy unloaded, and the first sweep
-loads it.
+loads it.  _LAZY is the one list of those names and their modules: __all__
+ends with it, and cli resolves its "sweep" entries.
 """
 
 import importlib
@@ -88,52 +89,27 @@ __all__ = [
     "Dual",
     "InconsistentStateError",
     "InvalidInputError",
-    "LagrangeCheckResult",
     "Line",
-    "MinGapResult",
     "NakaiReport",
-    "PointCurvature",
-    "PointwiseGapResult",
     "RunConfig",
     "Sum",
     "SurfaceRing",
     "SweepConfig",
-    "SweepResult",
     "Twist",
     "as_rational",
     "build_counterexample",
     "check_criterion",
     "check_rank2_criterion",
-    "chern_densities",
     "chern_of",
     "config_from_mapping",
     "epsilon_choice",
-    "error_term_density",
-    "export_histograms",
-    "gap_lower_bound",
-    "griffiths_lower_bound",
-    "griffiths_min",
     "intersect",
     "is_semistable_split",
-    "lagrange_max",
-    "lagrange_max_numeric",
     "lubke_coefficient",
-    "lubke_constant",
-    "min_gap_over_v",
     "nakai_check",
     "parse_config",
-    "pointwise_gap",
-    "projectively_flat",
     "rank_of",
-    "replay_worst",
-    "residuals",
-    "run_gap_sweep",
-    "run_griffiths_sweep",
-    "run_lagrange_check",
-    "sample_curvature",
     "split_slopes",
-    "unitary_conjugate",
-    "validate",
-    "wedge_density",
     "__version__",
+    *_LAZY,
 ]

@@ -19,10 +19,11 @@ command's config keys as config._KEYS says, and a sweep's per-configuration
 rows are its ConfigResults as dataclass documents.  Runners call the library
 by its module-level names here, looked up at call time, so a replacement
 installed on this module (a tracer, a test double) is the one called.  The
-exact layer's names are imported with this module.  The sweep runners' names
-(run_gap_sweep, run_griffiths_sweep, run_lagrange_check, export_histograms)
-are resolved by the module's __getattr__ on first use, which imports sweep
-and numpy; exact commands therefore never load the floating-point layer.
+exact layer's names are imported with this module.  The sweep runners
+(run_gap_sweep, run_griffiths_sweep, run_lagrange_check, export_histograms),
+like every name that the package's _LAZY gives to sweep, are resolved by the
+module's __getattr__ on first use, which imports sweep and numpy; exact
+commands therefore never load the floating-point layer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
-from . import __version__
+from . import _LAZY, __version__
 from .bundles import chern_of
 from .config import MODES, RunConfig, config_from_mapping, decode_json
 from .config import _divisor_doc, _inputs_doc, _ring_doc
@@ -47,15 +48,14 @@ from .criteria import (
 from .errors import AmpleError, ConfigError
 from .report import render
 
-# the floating-point layer's entry points, module attributes that
-# __getattr__ imports from sweep, and with it numpy, on first use; a bare
-# global lookup never reaches __getattr__, so runners read them off _module
-_SWEEP_NAMES = ("export_histograms", "run_gap_sweep", "run_griffiths_sweep", "run_lagrange_check")
+# the "sweep" entries of _LAZY are module attributes that __getattr__ imports
+# from sweep, and with it numpy, on first use; a bare global lookup never
+# reaches __getattr__, so runners read them off _module
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _SWEEP_NAMES:
+    if _LAZY.get(name) != "sweep":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import sweep
 

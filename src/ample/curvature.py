@@ -627,8 +627,9 @@ class PointwiseGapResult:
 
     lhs_density is c1^2 - (2r(r-1)/(r^2-2r+2)) c2; rhs_density is
     r^2/(r^2-2r+2) times the density of the squared normalized form
-    <v, Theta v>/<v, v> plus the epsilon error term; gap = rhs - lhs, so the
-    inequality asserts gap >= 0.
+    <v, Theta v>/<v, v> plus the epsilon error term, to rounding, since it is
+    computed as gap + lhs_density; gap = rhs - lhs, so the inequality
+    asserts gap >= 0.
     """
 
     lhs_density: float
@@ -655,14 +656,14 @@ def lhs_density(pc: PointCurvature) -> float:
 
 
 def pointwise_gap(pc: PointCurvature, v: np.ndarray) -> PointwiseGapResult:
-    """Evaluate the inequality at v; invariant under scaling of v."""
+    """Evaluate the inequality at v; invariant under scaling of v.  The gap
+    is gap_scale_offset's map of det q, as every sweep value and bound is."""
     q = normalized_form(pc, v)
-    r = pc.rank
-    k = r * r - 2 * r + 2
-    rhs = (r * r / k) * float(wedge_density(q, q).real) + error_term_density(r, pc.epsilon)
     lhs = lhs_density(pc)
+    scale, offset = gap_scale_offset(pc.rank, pc.epsilon, lhs)
+    gap = scale * 0.5 * float(wedge_density(q, q).real) + offset
     v_arr = np.asarray(v, dtype=np.complex128)
-    return PointwiseGapResult(lhs, rhs, rhs - lhs, tuple(complex(x) for x in v_arr))
+    return PointwiseGapResult(lhs, gap + lhs, gap, tuple(complex(x) for x in v_arr))
 
 
 def lagrange_max(r: int, mu: float, B_diag: Sequence[float]) -> float:

@@ -355,8 +355,8 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
     Runs a longer adversarial search from the same deterministic starts, one
     batched search per rank over the records of that rank; each record gets
     the bits of a search of its own.  A record takes the polished value
-    where it is lower; a polished value below its sample's bound is
-    InconsistentStateError, as in the batches.
+    where it is lower; a polished value that is not finite or lies below
+    its sample's bound is InconsistentStateError, as in the batches.
     Eigenvalue sweeps are not polished, so their record keeps the value-at-v
     pairing intact.
     """
@@ -367,6 +367,8 @@ def _polish(cfg: SweepConfig, results: list[ConfigResult]) -> list[ConfigResult]
         refined = min_gap_over_v(pcs, restarts=cfg.restarts, tol=1e-8, iterations=400)
         for k, pc, found in zip(idx, pcs, refined):
             c = results[k]
+            if not math.isfinite(found.gap):
+                raise InconsistentStateError(f"rank {r}, epsilon {c.epsilon!r}: non-finite polished gap")
             _, _, bound, floor = _bound("gap", pc.coeff[None], c.epsilon)
             _check_bound("gap", r, c.epsilon, c.worst.seed[2:], np.array([found.gap]), bound, floor)
             if found.gap < c.worst.value:

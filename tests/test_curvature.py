@@ -283,6 +283,28 @@ def test_gap_invariant_under_vector_scaling():
         assert scaled.gap == pytest.approx(base.gap, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+def test_pointwise_gap_against_the_inequality_written_out(r, eps):
+    # the reference is the inequality itself, (r^2/k) q wedge q + err - lhs
+    # with k = r^2 - 2r + 2, not the affine map of det q that pointwise_gap
+    # shares with the sweeps
+    k = r * r - 2 * r + 2
+    rng = np.random.default_rng((36, r, int(eps * 10)))
+    for i in range(20):
+        pc = sample_curvature(r, eps, (36, r, i))
+        v = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) * 10.0 ** rng.uniform(-3, 3)
+        q = normalized_form(pc, v)
+        lhs = lhs_density(pc)
+        rhs = (r * r / k) * float(wedge_density(q, q).real) + error_term_density(r, eps)
+        res = pointwise_gap(pc, v)
+        tol = 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        assert res.lhs_density == lhs
+        assert res.gap == pytest.approx(rhs - lhs, rel=0, abs=tol)
+        assert res.rhs_density == pytest.approx(rhs, rel=0, abs=tol)
+        assert res.rhs_density - res.lhs_density == pytest.approx(res.gap, rel=0, abs=tol)
+
+
 def test_gap_rejects_zero_vector():
     pc = sample_curvature(3, 0.0, 0)
     with pytest.raises(InvalidInputError):

@@ -792,6 +792,23 @@ def test_a_search_that_ends_at_nan_is_an_inconsistent_state(monkeypatch, command
     assert error["message"] == "rank 2, epsilon 0.0: non-finite sweep values"
 
 
+def test_a_polish_that_ends_at_nan_is_an_inconsistent_state(monkeypatch):
+    # a NaN polished gap is neither below the batch's value nor below its
+    # bound, so only a finiteness check keeps it from leaving a pass
+    min_gap_over_v = sweep_module.min_gap_over_v
+
+    def nan_gaps(*args, **kwargs):
+        return tuple(replace(found, gap=math.nan) for found in min_gap_over_v(*args, **kwargs))
+
+    monkeypatch.setattr(sweep_module, "min_gap_over_v", nan_gaps)
+    doc = {"command": "verify-lemma", "sweep": {"ranks": [2, 3], "samples": 40}}
+    code, report = cli.run(config_from_mapping(doc))
+    assert (code, report["verdict"]) == (3, "error")
+    error = report["results"]["error"]
+    assert error["type"] == "InconsistentStateError"
+    assert error["message"] == "rank 2, epsilon 0.0: non-finite polished gap"
+
+
 def test_an_eigenvalue_below_its_bound_is_an_inconsistent_state(monkeypatch):
     # the rank-2 Griffiths bound at epsilon 0 is the minimum; raised by 1e-6
     # it lies above the minimum but below every random and basis vector's
